@@ -9,10 +9,16 @@
 // the number of stored entries each one touched (tombstoned EDB facts plus
 // over-deleted/re-derived derivations).
 //
+// With provenance compiled in (the shipping configuration, and what
+// `ci/check.sh --bench` builds) the report also fails if the 1-fact DRed
+// retraction takes more than 10x the 64-fact add batch: goal-directed
+// re-derivation must keep a retraction proportional to what it touches.
+//
 // Under LRPDB_NO_PROVENANCE (the bench-gate build) retraction degrades to
 // the documented full-recompute fallback; the retract fields then measure
 // that fallback, which is exactly what a gate on this configuration should
-// watch. The add path never needs provenance and stays incremental.
+// watch, and the retraction bar above is not applied. The add path never
+// needs provenance and stays incremental.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -210,9 +216,17 @@ void WriteReport() {
   // (tombstoned EDB facts + over-deleted/re-derived dependents).
   EntryCensus before = Census(inc);
   std::vector<FactUpdate> retract1 = MakeRetractBatch(0, 1, &db);
-  report.Time("wall_ms_retract_1", [&] {
+  double retract1_ms = report.Time("wall_ms_retract_1", [&] {
     lrpdb_bench::CheckBenchOk(id, "retract 1", inc.RetractFacts(retract1));
   });
+  // The DRed bar: a 1-fact retraction within 10x of the 64-fact add batch.
+  // Only the provenance build runs DRed; the fallback recomputes in full.
+  if (lrpdb::kProvenanceCompiledIn && retract1_ms > 10.0 * add_ms) {
+    lrpdb_bench::FailBench(
+        id, "retract 1 within 10x of the add batch",
+        lrpdb::InternalError("retract " + std::to_string(retract1_ms) +
+                             " ms vs add " + std::to_string(add_ms) + " ms"));
+  }
   EntryCensus after = Census(inc);
   report.Set("touched_entries_retract_1", TouchedEntries(inc, before, after));
 

@@ -203,8 +203,11 @@ if [[ "$incremental" == 1 ]]; then
   # canonical ground window, and the stored dumps must be bit-identical
   # across {batch, legacy} kernels x {1, 2, 8} threads. The directed
   # IncrementalTest cases cover DRed over-delete/re-derive, alternative
-  # derivations, retract misses, compaction stability, and the negation
-  # full-recompute fallback; the TupleStoreTest tombstone regressions cover
+  # derivations, retract misses, compaction stability, the negation
+  # full-recompute fallback, and the provenance a single-fact retraction
+  # records (bounded by the entries it touched, at two EDB sizes); the
+  # generated programs carry both goal-restricted and unrestricted
+  # re-derive clauses; the TupleStoreTest tombstone regressions cover
   # the stable-EntryId compaction path underneath it all.
   ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="print_stacktrace=1" \
     ctest --test-dir build-asan --output-on-failure \

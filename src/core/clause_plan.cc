@@ -270,6 +270,7 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
     }
     const int64_t range_size = static_cast<int64_t>(range_hi - range_lo);
     const bool indexed = store.index_enabled();
+    const std::vector<EntryId>* goal = source.goal;
     // Constant-pinned postings resolve once per atom, not once per binding
     // (the hoisted SmallestPosting work). A constant with no posting at
     // all empties the frontier outright.
@@ -324,6 +325,13 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
         store.CountProbe(stats, 0, range_size);
         continue;
       }
+      // A goal restriction competes like one more posting; when a smaller
+      // posting wins, goal membership becomes a row filter below.
+      if (goal != nullptr &&
+          (posting == nullptr || goal->size() <= posting->size())) {
+        posting = goal;
+        posting_column = -1;
+      }
       if (posting != nullptr) {
         block.FillFromPosting(store, *posting, range_lo, range_hi);
       } else {
@@ -340,6 +348,11 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
         // Direct range scans can still see tombstoned slots; postings are
         // pruned at Tombstone() time and need no liveness filter.
         mask.KeepIf([&](size_t row) { return store.is_live(block.id(row)); });
+      }
+      if (goal != nullptr && posting != goal) {
+        mask.KeepIf([&](size_t row) {
+          return std::binary_search(goal->begin(), goal->end(), block.id(row));
+        });
       }
       for (const TupleStore::DataRequirement& req :
            compiled.const_requirements) {

@@ -58,6 +58,10 @@ struct AtomSource {
   bool has_range = false;
   size_t range_lo = 0;
   size_t range_hi = 0;
+  // Optional goal restriction (goal-directed re-derivation, ResumeSeed in
+  // src/core/evaluator.h): ascending live entry ids; the atom enumerates
+  // only these, still clipped to its range. Not owned.
+  const std::vector<EntryId>* goal = nullptr;
 };
 
 // One body atom's compiled probe/unify recipe. All members are indices

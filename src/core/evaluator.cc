@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <deque>
 #include <optional>
 #include <set>
 #include <utility>
@@ -184,17 +185,32 @@ bool UnifyTuple(const NormalizedBodyAtom& atom, const GeneralizedTuple& tuple,
               {static_cast<int>(k), *binding.data[arg.variable]});
         }
       }
-      store.ForEachCandidateInRange(
-          requirements, range_lo, range_hi, stats, [&](EntryId id) {
-            if (!poll_status.ok()) return;
-            poll_status = PollExec(exec);
-            if (!poll_status.ok()) return;
-            Binding extended = binding;
-            if (UnifyTuple(atom, store.tuple(id), &extended)) {
-              if (capture) extended.ids.push_back(id);
-              next.push_back(std::move(extended));
-            }
-          });
+      auto extend = [&](EntryId id) {
+        if (!poll_status.ok()) return;
+        poll_status = PollExec(exec);
+        if (!poll_status.ok()) return;
+        Binding extended = binding;
+        if (UnifyTuple(atom, store.tuple(id), &extended)) {
+          if (capture) extended.ids.push_back(id);
+          next.push_back(std::move(extended));
+        }
+      };
+      if (sources[a].goal != nullptr) {
+        // Goal-restricted atom: enumerate the goal ids in range; the
+        // unifier re-checks every data requirement.
+        const std::vector<EntryId>& goal = *sources[a].goal;
+        auto it = std::lower_bound(goal.begin(), goal.end(),
+                                   static_cast<EntryId>(range_lo));
+        int64_t scanned = 0;
+        for (; it != goal.end() && *it < range_hi; ++it, ++scanned) {
+          extend(*it);
+        }
+        const int64_t range_size = static_cast<int64_t>(range_hi - range_lo);
+        store.CountProbe(stats, scanned, range_size - scanned);
+      } else {
+        store.ForEachCandidateInRange(requirements, range_lo, range_hi, stats,
+                                      extend);
+      }
       LRPDB_RETURN_IF_ERROR(poll_status);
     }
     frontier = std::move(next);
@@ -471,10 +487,83 @@ std::string EvaluationResult::Explain(bool include_timings) const {
 
 namespace {
 
+// Goal-directed re-derivation (ResumeSeed::goals): among the positive body
+// atoms of `clause` that carry head data variables, picks the one whose
+// store keeps the smallest share of its live entries once restricted to
+// entries agreeing with some goal on every such column (ties to the lowest
+// body index), and fills `ids` with those entries, ascending. Returns the
+// atom's body index, or -1 when no positive atom carries a head data
+// variable.
+int SelectGoalAtom(const NormalizedClause& clause,
+                   const std::vector<AtomSource>& sources,
+                   const std::set<std::vector<DataValue>>& goals,
+                   std::vector<EntryId>* ids) {
+  int chosen = -1;
+  size_t chosen_live = 0;
+  for (size_t a = 0; a < clause.body.size(); ++a) {
+    const NormalizedBodyAtom& atom = clause.body[a];
+    if (atom.negated) continue;
+    // (atom column, head column) pairs sharing a data variable.
+    std::vector<std::pair<int, size_t>> columns;
+    for (size_t k = 0; k < atom.data_args.size(); ++k) {
+      if (atom.data_args[k].is_constant()) continue;
+      for (size_t j = 0; j < clause.head_data.size(); ++j) {
+        if (!clause.head_data[j].is_constant() &&
+            clause.head_data[j].variable == atom.data_args[k].variable) {
+          columns.emplace_back(static_cast<int>(k), j);
+        }
+      }
+    }
+    if (columns.empty()) continue;
+    // The goals projected onto those columns: distinct keys admit disjoint
+    // entry sets.
+    std::set<std::vector<DataValue>> keys;
+    for (const std::vector<DataValue>& goal : goals) {
+      std::vector<DataValue> key;
+      for (auto [unused, j] : columns) key.push_back(goal[j]);
+      keys.insert(std::move(key));
+    }
+    const TupleStore& store = sources[a].relation->store();
+    std::vector<EntryId> matched;
+    for (const std::vector<DataValue>& key : keys) {
+      // Walk the smallest posting among the columns (postings hold live
+      // entries only) and check the remaining columns per entry.
+      const std::vector<EntryId>* posting = nullptr;
+      bool missing = false;
+      for (size_t c = 0; c < columns.size(); ++c) {
+        const std::vector<EntryId>* p =
+            store.PostingFor(columns[c].first, key[c]);
+        if (p == nullptr) {
+          missing = true;
+          break;
+        }
+        if (posting == nullptr || p->size() < posting->size()) posting = p;
+      }
+      if (missing) continue;
+      for (EntryId id : *posting) {
+        bool agrees = true;
+        for (size_t c = 0; c < columns.size(); ++c) {
+          agrees = agrees && store.data_column(columns[c].first)[id] == key[c];
+        }
+        if (agrees) matched.push_back(id);
+      }
+    }
+    std::sort(matched.begin(), matched.end());
+    const size_t live = store.live_size();
+    if (chosen < 0 || matched.size() * chosen_live < ids->size() * live) {
+      chosen = static_cast<int>(a);
+      chosen_live = live;
+      *ids = std::move(matched);
+    }
+  }
+  return chosen;
+}
+
 // Shared body of Evaluate and ResumeEvaluate. `resume`, when non-null,
 // seeds the IDB from a prior run and replaces the first round's task set
-// with the incremental one (rederive heads in full, everything else
-// pivoted on non-empty deltas); see ResumeSeed in evaluator.h.
+// with the incremental one (goal-seeded heads once, goal-directed;
+// everything else pivoted on non-empty deltas); see ResumeSeed in
+// evaluator.h.
 [[nodiscard]] StatusOr<EvaluationResult> EvaluateInternal(
     const Program& program, const Database& db,
     const EvaluationOptions& options, ResumeSeed* resume) {
@@ -705,6 +794,8 @@ namespace {
         int64_t apply_us = 0;
       };
       std::vector<RoundTask> tasks;
+      // Goal restrictions of the resume round; tasks point into it.
+      std::deque<std::vector<EntryId>> goal_ids;
       auto add_tasks = [&](size_t ci, const std::vector<AtomSource>& sources) {
         const NormalizedClause& clause = normalized.clauses[ci];
         const ClausePlan* plan =
@@ -777,15 +868,25 @@ namespace {
           }
         }
         if (resume != nullptr && round == 1) {
-          // Incremental resume round: a clause re-derives in full when a
-          // retraction over-deleted from its head relation; otherwise it
+          // Incremental resume round: a clause whose head relation has
+          // re-derivation goals runs once with its most selective
+          // head-binding atom restricted to the goal entries; otherwise it
           // runs once per positive body atom with a pending delta (EDB
           // deltas seeded by AddFacts included), pivoted to that delta.
           // Clauses with neither can derive nothing new and are skipped —
           // that skip is the incremental win.
           const std::string& head_name =
               program.predicates().NameOf(clause.head_predicate);
-          if (resume->rederive_heads.count(head_name) > 0) {
+          auto goals = resume->goals.find(head_name);
+          if (goals != resume->goals.end()) {
+            std::vector<EntryId> ids;
+            const int atom =
+                SelectGoalAtom(clause, sources, goals->second, &ids);
+            if (atom >= 0) {
+              sources[atom].goal = &goal_ids.emplace_back(std::move(ids));
+            } else {
+              LRPDB_COUNTER_INC("eval.inc.unrestricted_rederives");
+            }
             add_tasks(ci, sources);
           } else {
             for (size_t pivot = 0; pivot < clause.body.size(); ++pivot) {

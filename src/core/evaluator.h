@@ -231,9 +231,14 @@ struct EvaluationResult {
 // refixpointing from scratch (incremental maintenance, DESIGN.md §13).
 // ResumeEvaluate adopts `idb` (the relations of the prior run, moved in)
 // and runs the same semi-naive loop with a modified first round:
-//  * clauses whose head predicate is named in `rederive_heads` are applied
-//    in full (every generation), re-deriving anything a retraction
-//    over-deleted;
+//  * a clause whose head relation has `goals` (a retraction over-deleted
+//    from it) is applied once, goal-directed: one positive body atom that
+//    carries head data variables enumerates only its live entries whose
+//    values in those columns match some goal (the most selective such
+//    atom, relative to its store). Every derivation of an over-deleted
+//    ground fact binds the head to that fact's data, so the restriction
+//    loses nothing. A clause whose head data carries no body-bound
+//    variable (constant columns, data arity 0) runs unrestricted;
 //  * every other clause is applied once per positive body atom whose
 //    store currently has a non-empty delta generation (EDB stores seeded
 //    by AddFacts included), with that atom pivoted to the delta range.
@@ -246,8 +251,9 @@ struct ResumeSeed {
   // Prior-run IDB relations, adopted (moved) into the resumed result. Any
   // intensional predicate missing here starts empty.
   std::map<std::string, GeneralizedRelation> idb;
-  // Head predicates to re-apply in full during the first resumed round.
-  std::set<std::string> rederive_heads;
+  // Re-derivation goals: per IDB relation, the distinct data-value vectors
+  // of the entries a retraction's over-delete wave tombstoned.
+  std::map<std::string, std::set<std::vector<DataValue>>> goals;
 };
 
 [[nodiscard]] StatusOr<EvaluationResult> ResumeEvaluate(

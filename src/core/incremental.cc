@@ -189,9 +189,10 @@ void IncrementalEvaluator::ClearDeltas() {
                            db_->MutableRelation(update.relation));
     TupleStore& store = relation->mutable_store();
     bool matched = false;
-    for (size_t i = 0; i < store.size(); ++i) {
-      const EntryId id = static_cast<EntryId>(i);
-      if (!store.is_live(id)) continue;
+    // Exact matches share the fact's free extension, so only its signature
+    // bucket can hold them.
+    for (EntryId id :
+         store.LiveEntriesWithSignature(update.tuple.free_extension())) {
       const GeneralizedTuple& stored = store.tuple(id);
       if (stored.lrps() != update.tuple.lrps()) continue;
       if (stored.data() != update.tuple.data()) continue;
@@ -219,7 +220,9 @@ void IncrementalEvaluator::ClearDeltas() {
   // sound subset of the fixpoint. Any early error exit leaves it marked so
   // the next update falls back to a full recompute.
   model_->reached_fixpoint = false;
-  std::set<std::string> affected;
+  // Re-derivation goals: the data values of every over-deleted entry, per
+  // relation, read before the entry is tombstoned.
+  std::map<std::string, std::set<std::vector<DataValue>>> goals;
   std::deque<ProvRef> queue;
   std::set<ProvRef> visited;
   for (const auto& [name, entry] : retracted) {
@@ -241,21 +244,27 @@ void IncrementalEvaluator::ClearDeltas() {
       // A dependent dead from an earlier retraction was already expanded
       // when it died; its stale reverse edge carries no new work.
       if (!store.is_live(dep.entry)) continue;
+      goals[name].insert(store.tuple(dep.entry).data());
       store.Tombstone(dep.entry);
       prov_->Forget(dep);
-      affected.insert(name);
       ++over_deleted;
       queue.push_back(dep);
     }
   }
   LRPDB_COUNTER_ADD("eval.inc.over_deleted", over_deleted);
-  // Re-derive: clauses heading an affected relation re-apply in full, so
-  // every over-deleted tuple with a surviving alternative derivation comes
-  // back; insertions seed deltas and the resumed loop propagates them.
+  int64_t goal_values = 0;
+  for (const auto& [unused, values] : goals) {
+    goal_values += static_cast<int64_t>(values.size());
+  }
+  LRPDB_COUNTER_ADD("eval.inc.goal_values", goal_values);
+  // Re-derive: clauses heading a goal relation re-apply once, restricted to
+  // the live entries that can bind the head to a goal value, so every
+  // over-deleted tuple with a surviving alternative derivation comes back;
+  // insertions seed deltas and the resumed loop propagates them.
   LRPDB_FAILPOINT("incremental.rederive");
   ResumeSeed seed;
   seed.idb = std::move(model_->idb);
-  seed.rederive_heads = std::move(affected);
+  seed.goals = std::move(goals);
   StatusOr<EvaluationResult> resumed =
       ResumeEvaluate(program_, *db_, options_, std::move(seed));
   if (!resumed.ok()) {

@@ -17,11 +17,14 @@
 //    DRed-style deletion: the recorded provenance reverse index
 //    (ProvenanceLog::Dependents) drives an over-delete of every transitive
 //    dependent — sound because an entry's recorded origins over-approximate
-//    its real derivations (subsumption absorbers, provenance.h) — then the
-//    affected head relations re-derive in full through the same resumed
-//    loop. Retracting a fact that was absorbed at insert time (never
-//    stored) is a no-op and does not resurrect what its absorber covered:
-//    the stored model is the unit of retraction.
+//    its real derivations (subsumption absorbers, provenance.h) — then
+//    re-derives through the same resumed loop, goal-directed: the data
+//    values of the over-deleted entries seed ResumeSeed::goals, so each
+//    affected clause re-applies once over only the entries that can
+//    rebuild them. Exact EDB matches are found through the store's
+//    signature index. Retracting a fact that was absorbed at insert time
+//    (never stored) is a no-op and does not resurrect what its absorber
+//    covered: the stored model is the unit of retraction.
 //
 // Both operations leave the model semantically identical to a from-scratch
 // refixpoint of the updated database (the differential gauntlet in

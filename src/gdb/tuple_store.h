@@ -261,6 +261,14 @@ class TupleStore {
 
   // True iff the entry has not been tombstoned. Valid for any id < size().
   bool is_live(EntryId id) const { return live_[id] == kLive; }
+  // The live entries interned under free extension `fe` (its signature
+  // bucket), ascending; empty when none. A copy, so callers may tombstone
+  // while iterating it.
+  std::vector<EntryId> LiveEntriesWithSignature(const FreeExtension& fe) const {
+    auto bucket = signature_index_.find(fe);
+    if (bucket == signature_index_.end()) return {};
+    return bucket->second.entries;
+  }
   // Cheap gate for hot scan paths: when false, every entry is live and the
   // per-id filter can be skipped entirely.
   bool has_tombstones() const { return tombstones_ > 0; }
