@@ -35,10 +35,12 @@
 #                            across 1, 2, and 8 worker threads, the
 #                            provenance suite asserts identical derivation
 #                            logs across the same grid, and the TSan leg
-#                            repeats both with LRPDB_THREADS=8 forced into
-#                            the environment, and the ASan leg also covers
-#                            the storage suites (WAL/snapshot corruption
-#                            fixtures plus the storage failpoint walk).
+#                            repeats both — plus the random kernel suite
+#                            against its ground oracle — with
+#                            LRPDB_THREADS=8 forced into the environment,
+#                            and the ASan leg also covers the storage
+#                            suites (WAL/snapshot corruption fixtures plus
+#                            the storage failpoint walk).
 #                            Standalone mode: skips the plain build/ctest
 #                            above.
 #   ci/check.sh --crash      crash-recovery pass: build an ASan tree and run
@@ -56,8 +58,8 @@
 #                            random add/retract schedule whose every step is
 #                            checked against a from-scratch refixpoint
 #                            oracle and for bit-identical stored dumps
-#                            across {batch, legacy} kernels x {1, 2, 8}
-#                            threads — plus the directed incremental cases
+#                            across {1, 2, 8} threads — plus the directed
+#                            incremental cases
 #                            and the tombstone-compaction regressions in
 #                            tuple_store_test. Standalone mode: skips the
 #                            plain build/ctest above.
@@ -135,9 +137,13 @@ if [[ "$faults" == 1 ]]; then
   # unwinding paths leak detection should watch.
   storage_filter='^(Crc32cTest|FileUtilTest|CodecTest|WalTest|SnapshotTest|StoreTest|StoreFaultTest)\.'
   # The incremental gauntlet rides both legs: every schedule step exercises
-  # resume evaluation across {batch, legacy} kernels x {1, 2, 8} threads, so
-  # ASan watches the DRed unwinding paths and TSan the 8-wide resume rounds.
-  parallel_filter='(ThreadPoolTest|ParallelEvaluatorTest|ParallelDeterminismTest)\.|ProvenanceRandomTest\.|IncrementalRandomTest\.'
+  # resume evaluation at {1, 2, 8} threads, so ASan watches the DRed
+  # unwinding paths and TSan the 8-wide resume rounds. The random kernel
+  # suite (BatchKernelRandomTest: 200 programs against the ground oracle at
+  # 1, 2, and 8 threads) joins the 8-wide TSan pass: it drives the one
+  # generalized join kernel, whose thread-local scratch QueryAtom shares,
+  # across the most program shapes.
+  parallel_filter='(ThreadPoolTest|ParallelEvaluatorTest|ParallelDeterminismTest)\.|ProvenanceRandomTest\.|IncrementalRandomTest\.|BatchKernelRandomTest\.'
   echo "== fault injection: ASan"
   cmake -B build-asan -S . -DLRPDB_SANITIZE=ON
   cmake --build build-asan -j"$(nproc)" --target \
@@ -150,7 +156,8 @@ if [[ "$faults" == 1 ]]; then
   cmake -B build-tsan -S . -DLRPDB_SANITIZE=thread
   cmake --build build-tsan -j"$(nproc)" --target \
     exec_context_test governance_test fault_injection_test \
-    parallel_evaluator_test provenance_test incremental_test
+    parallel_evaluator_test provenance_test incremental_test \
+    batch_kernel_test
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-tsan --output-on-failure -R "$fault_filter"
   echo "== determinism differential under TSan with LRPDB_THREADS=8 forced"
@@ -201,7 +208,7 @@ if [[ "$incremental" == 1 ]]; then
   # through a 6-step random add/retract schedule. After every step the
   # maintained model must match a from-scratch refixpoint oracle on the
   # canonical ground window, and the stored dumps must be bit-identical
-  # across {batch, legacy} kernels x {1, 2, 8} threads. The directed
+  # across {1, 2, 8} threads. The directed
   # IncrementalTest cases cover DRed over-delete/re-derive, alternative
   # derivations, retract misses, compaction stability, the negation
   # full-recompute fallback, and the provenance a single-fact retraction
@@ -244,11 +251,11 @@ if [[ "$tsan" == 1 ]]; then
   # TSan needs to see contended.
   LRPDB_TRACE="$PWD/$build_dir/ctest-trace.json" \
     ctest --test-dir "$build_dir" --output-on-failure
-  # Second pass over the parallel-evaluator suites with 8 worker threads
-  # forced: maximal pool contention under TSan, with the determinism
-  # assertions re-checking the merged results.
+  # Second pass over the parallel-evaluator suites and the random kernel
+  # suite with 8 worker threads forced: maximal pool contention under TSan,
+  # with the determinism assertions re-checking the merged results.
   LRPDB_THREADS=8 ctest --test-dir "$build_dir" --output-on-failure \
-    -R '(ThreadPoolTest|ParallelEvaluatorTest|ParallelDeterminismTest)\.|ProvenanceRandomTest\.'
+    -R '(ThreadPoolTest|ParallelEvaluatorTest|ParallelDeterminismTest)\.|ProvenanceRandomTest\.|BatchKernelRandomTest\.'
 else
   ctest --test-dir "$build_dir" --output-on-failure
 fi

@@ -13,8 +13,8 @@ namespace lrpdb {
 namespace {
 
 // Compiles the probe/unify recipe of clause.body[body_index] given the
-// variables already bound by earlier atoms in plan order. Updates the
-// bound sets in place.
+// variables already bound by earlier atoms. Updates the bound sets in
+// place.
 CompiledAtom CompileAtom(const NormalizedClause& clause, int body_index,
                          std::vector<bool>* temporal_bound,
                          std::vector<bool>* data_bound) {
@@ -93,57 +93,13 @@ CompiledAtom CompileAtom(const NormalizedClause& clause, int body_index,
 
 }  // namespace
 
-ClausePlan CompileClausePlan(const NormalizedClause& clause,
-                             bool allow_reorder) {
+ClausePlan CompileClausePlan(const NormalizedClause& clause) {
   ClausePlan plan;
-  const size_t n = clause.body.size();
   std::vector<bool> temporal_bound(clause.num_temporal_vars, false);
   std::vector<bool> data_bound(clause.num_data_vars, false);
-  std::vector<bool> placed(n, false);
-  std::vector<int> order;
-  order.reserve(n);
-  for (size_t step = 0; step < n; ++step) {
-    int chosen = -1;
-    if (step == 0 || !allow_reorder) {
-      // Body atom 0 anchors the parallel shard split; without reordering
-      // the plan is the body order itself.
-      chosen = static_cast<int>(step);
-    } else {
-      // Greedy static selectivity: prefer atoms with the most index-probe
-      // opportunities (constant-pinned columns weigh heaviest, then
-      // columns reachable through an already-bound variable, then
-      // intra-atom repeats). Ties resolve to the lowest body index, so a
-      // clause with no probes at all keeps its body order.
-      int best_score = -1;
-      for (size_t a = 0; a < n; ++a) {
-        if (placed[a]) continue;
-        const NormalizedBodyAtom& atom = clause.body[a];
-        int score = 0;
-        std::vector<bool> seen(clause.num_data_vars, false);
-        for (const NormalizedDataArg& arg : atom.data_args) {
-          if (arg.is_constant()) {
-            score += 4;
-          } else if (data_bound[arg.variable]) {
-            score += 3;
-          } else if (seen[arg.variable]) {
-            score += 1;
-          } else {
-            seen[arg.variable] = true;
-          }
-        }
-        if (score > best_score) {
-          best_score = score;
-          chosen = static_cast<int>(a);
-        }
-      }
-    }
-    placed[chosen] = true;
-    order.push_back(chosen);
-    plan.atoms.push_back(
-        CompileAtom(clause, chosen, &temporal_bound, &data_bound));
-  }
-  for (size_t a = 0; a < n; ++a) {
-    if (order[a] != static_cast<int>(a)) plan.reordered = true;
+  for (size_t a = 0; a < clause.body.size(); ++a) {
+    plan.atoms.push_back(CompileAtom(clause, static_cast<int>(a),
+                                     &temporal_bound, &data_bound));
   }
   return plan;
 }
@@ -152,12 +108,10 @@ const ClausePlan& ClausePlanCache::Get(size_t clause_index,
                                        const NormalizedClause& clause) {
   std::optional<ClausePlan>& slot = plans_[clause_index];
   if (slot.has_value()) {
-    ++cache_hits_;
     LRPDB_COUNTER_INC("eval.plan.cache_hits");
     return *slot;
   }
-  slot = CompileClausePlan(clause, allow_reorder_);
-  ++compiles_;
+  slot = CompileClausePlan(clause);
   LRPDB_COUNTER_INC("eval.plan.compiles");
   return *slot;
 }
@@ -165,8 +119,9 @@ const ClausePlan& ClausePlanCache::Get(size_t clause_index,
 namespace {
 
 // A partial assignment of the clause's variables built while joining body
-// atoms, plus the per-atom matched entry ids (body order) that restore the
-// legacy emission order after a reordered join.
+// atoms, plus the per-atom matched entry ids (body order) while capturing
+// why-provenance; `ids` stays empty otherwise, so a binding copy costs no
+// allocation for it.
 struct BatchBinding {
   std::vector<std::optional<Lrp>> lrps;
   Dbm constraint;
@@ -182,9 +137,11 @@ struct BatchBinding {
 
 // Extends `binding` in place with the temporal columns and constraint of
 // one matched tuple (the data columns were already handled by the mask
-// chain). Returns false when the combination is infeasible. Mirrors the
-// legacy UnifyTuple exactly; `shifted` holds the per-column lrps already
-// shifted into variable space by BatchShiftColumn.
+// chain). Returns false when the combination is infeasible: an lrp residue
+// clash on one variable, a bound between two columns aliased to one
+// variable that the alias violates, or an unsatisfiable DBM. `shifted`
+// holds the per-column lrps already shifted into variable space by
+// BatchShiftColumn.
 bool UnifyTemporal(const NormalizedBodyAtom& atom,
                    const GeneralizedTuple& tuple,
                    const std::vector<std::vector<Lrp>>& shifted, size_t row,
@@ -238,9 +195,10 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
   if (clause.always_false) return OkStatus();
   LRPDB_FAILPOINT("evaluator.apply_clause");
   ExecContext* exec = limits.exec;
+  const bool capture = parent_ids != nullptr;
   std::vector<BatchBinding> frontier;
   frontier.emplace_back(clause.num_temporal_vars, clause.num_data_vars,
-                        clause.body.size(), clause.constraint);
+                        capture ? clause.body.size() : 0, clause.constraint);
   if (!frontier.back().constraint.IsSatisfiable()) return OkStatus();
 
   int64_t tuples_in = 0;
@@ -271,9 +229,8 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
     const int64_t range_size = static_cast<int64_t>(range_hi - range_lo);
     const bool indexed = store.index_enabled();
     const std::vector<EntryId>* goal = source.goal;
-    // Constant-pinned postings resolve once per atom, not once per binding
-    // (the hoisted SmallestPosting work). A constant with no posting at
-    // all empties the frontier outright.
+    // Constant-pinned postings resolve once per atom, not once per binding.
+    // A constant with no posting at all empties the frontier outright.
     const std::vector<EntryId>* const_posting = nullptr;
     int const_posting_column = -1;
     bool const_missing = false;
@@ -388,7 +345,7 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
           extended.data[bind.variable] = block.data(bind.column, row);
         }
         if (UnifyTemporal(atom, block.tuple(row), shifted, row, &extended)) {
-          extended.ids[compiled.body_index] = block.id(row);
+          if (capture) extended.ids[compiled.body_index] = block.id(row);
           next.push_back(std::move(extended));
         }
       });
@@ -399,17 +356,9 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
   }
   LRPDB_COUNTER_ADD("eval.batch.tuples_in", tuples_in);
   if (frontier.empty()) return OkStatus();
-  if (plan.reordered) {
-    // Restore the legacy emission order: lexicographic in the body-order
-    // entry-id vector. Each id combination was explored at most once, so
-    // the comparison has no ties and the order is total.
-    std::sort(frontier.begin(), frontier.end(),
-              [](const BatchBinding& a, const BatchBinding& b) {
-                return a.ids < b.ids;
-              });
-  }
-  // Project each surviving binding onto the head (identical to the legacy
-  // path: exact residue-aware projection).
+  // Project each surviving binding onto the head: exact residue-aware
+  // projection (a plain DBM projection would lose congruences of
+  // projected-out variables).
   int64_t tuples_out = 0;
   for (const BatchBinding& binding : frontier) {
     LRPDB_RETURN_IF_ERROR(PollExec(exec));
@@ -434,7 +383,7 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
       }
     }
     std::vector<EntryId> parents;
-    if (parent_ids != nullptr) {
+    if (capture) {
       // Why-provenance: the binding already carries every atom's matched
       // entry id in body order; negated atoms are omitted (they match
       // evaluation-local complement relations).
@@ -448,7 +397,7 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
           piece.ProjectTemporal(clause.head_temporal_vars);
       GeneralizedTuple head = projected.ToGeneralizedTuple();
       candidates->emplace_back(head.lrps(), head_data, head.constraint());
-      if (parent_ids != nullptr) parent_ids->push_back(parents);
+      if (capture) parent_ids->push_back(parents);
       ++tuples_out;
     }
   }
@@ -458,8 +407,7 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
 
 GroundClausePlan CompileGroundClausePlan(const NormalizedClause& clause) {
   GroundClausePlan plan;
-  // Join descriptors follow body order (the ground stores keep insertion
-  // order, which reordering would change); negated atoms join nothing and
+  // Join descriptors follow body order; negated atoms join nothing and
   // compile to empty descriptor sets, skipped by the kernel.
   std::vector<bool> temporal_bound(clause.num_temporal_vars, false);
   std::vector<bool> data_bound(clause.num_data_vars, false);
@@ -495,9 +443,9 @@ GroundClausePlan CompileGroundClausePlan(const NormalizedClause& clause) {
     plan.negated.push_back(std::move(probe));
   }
   // Head stage: close the clause DBM once and resolve each head variable's
-  // derivation statically, simulating the legacy per-binding scan — the
-  // set of assigned variables at each step is a static fact (body-bound
-  // variables plus head variables solved earlier).
+  // derivation statically — the set of assigned variables at each step is
+  // a static fact (body-bound variables plus head variables solved
+  // earlier).
   Dbm closed = clause.constraint;
   closed.Close();
   std::vector<bool> assigned = temporal_bound;

@@ -1,30 +1,24 @@
 // Compiled clause plans and the fused batch select/join/project kernel
-// (DESIGN.md §9).
+// (DESIGN.md §9) — the generalized evaluator's only join path.
 //
-// The legacy evaluator re-derives its join structure per clause, per round,
-// per candidate probe: every scan re-collects the atom's data requirements
-// and re-picks the smallest posting list inside the store. A ClausePlan
-// compiles that structure once per clause: for each body atom, which data
-// columns are pinned by constants, which carry variables bound by earlier
-// atoms (index probes), which bind new variables, and which repeat a
-// variable within the atom; plus a join order chosen by probe selectivity.
-// ApplyClauseBatch then streams candidates from the store's posting lists
-// through one fused select/shift/join/project loop over TupleBlocks
-// (src/gdb/batch.h) instead of materializing per-operator relations.
+// A ClausePlan compiles a clause's join structure once: for each body atom,
+// in body order, which data columns are pinned by constants, which carry
+// variables bound by earlier atoms (index probes), which bind new
+// variables, and which repeat a variable within the atom. ApplyClauseBatch
+// then streams candidates from the store's posting lists through one fused
+// select/shift/join/project loop over TupleBlocks (src/gdb/batch.h)
+// instead of materializing per-operator relations.
 //
-// Determinism (DESIGN.md §8 still holds): the legacy kernel emits bindings
-// in lexicographic order of the matched entry-id vector in *body order*
-// (breadth-first frontier over ascending probes). The batch kernel may
-// process atoms in plan order, so it records each binding's per-atom entry
-// ids and sorts the final frontier by the body-order id vector. Every id
-// combination is explored at most once, so the sort has no ties and
-// reproduces the legacy emission order bit-exactly — including under
-// atom-0 sharding, where the plan keeps body atom 0 first (it anchors the
-// shard split) and id_0 therefore stays the major key across shards. The
-// emitted tuples themselves are also bit-identical: the binding's final
-// DBM is closed by the last satisfiability check and closure is canonical,
-// lrp intersection is order-independent in canonical form, and data values
-// do not depend on join order.
+// Determinism (DESIGN.md §8): the kernel extends its frontier breadth-first
+// in body order, and every per-binding scan (posting list, goal list, or
+// entry range) yields ascending entry ids, so bindings — and the candidates
+// projected from them — come out in lexicographic order of their body-order
+// entry-id vectors. Atom-0 sharding splits atom 0's range into contiguous
+// pieces, so concatenating shard outputs in shard order reproduces the
+// unsharded sequence. The emitted tuples are canonical: the binding's final
+// DBM is closed by the last satisfiability check, lrp intersection is
+// order-independent in canonical form, and data values come straight from
+// the matched entries.
 //
 // The windowed ground evaluator reuses the same compiled atoms (the
 // descriptors are store-agnostic column/variable indices) plus a ground
@@ -80,8 +74,8 @@ struct CompiledAtom {
     int column = 0;
     int variable = 0;
   };
-  // Data columns carrying a variable bound by an earlier atom in plan
-  // order: per-binding index probes.
+  // Data columns carrying a variable bound by an earlier atom: per-binding
+  // index probes.
   std::vector<VarColumn> bound_probes;
   // Data columns whose variable first occurs here: extending a binding
   // copies the matched entry's value into the variable slot.
@@ -119,50 +113,33 @@ struct CompiledAtom {
   std::vector<BoundCheck> new_bounds;
 };
 
-// A compiled clause: atoms in processing order plus the bookkeeping the
-// kernel needs to restore body-order emission.
+// A compiled clause: one compiled atom per body atom, in body order.
 struct ClausePlan {
-  std::vector<CompiledAtom> atoms;  // Plan (possibly reordered) order.
-  bool reordered = false;           // True iff plan order != body order.
+  std::vector<CompiledAtom> atoms;
 };
 
-// Compiles `clause` once. With `allow_reorder`, atoms after body atom 0
-// are greedily ordered by static probe selectivity (constant-pinned
-// columns, then columns probed through already-bound variables); body atom
-// 0 stays first because it anchors the parallel evaluator's shard split.
-// The ground evaluator compiles with allow_reorder == false: its fact
-// stores keep insertion order and reordering would change it.
-ClausePlan CompileClausePlan(const NormalizedClause& clause,
-                             bool allow_reorder);
+// Compiles `clause` once, in body order.
+ClausePlan CompileClausePlan(const NormalizedClause& clause);
 
 // Compile-once cache, one slot per clause index. Accessed only from the
 // sequential task-building phase of a round (workers receive const
 // pointers), so it needs no locking.
 class ClausePlanCache {
  public:
-  explicit ClausePlanCache(size_t num_clauses, bool allow_reorder)
-      : plans_(num_clauses), allow_reorder_(allow_reorder) {}
+  explicit ClausePlanCache(size_t num_clauses) : plans_(num_clauses) {}
 
   const ClausePlan& Get(size_t clause_index, const NormalizedClause& clause);
 
-  int64_t compiles() const { return compiles_; }
-  int64_t cache_hits() const { return cache_hits_; }
-
  private:
   std::vector<std::optional<ClausePlan>> plans_;
-  bool allow_reorder_ = true;
-  int64_t compiles_ = 0;
-  int64_t cache_hits_ = 0;
 };
 
 // Applies `clause` over the given per-atom relations through the fused
-// batch kernel, collecting candidate head tuples. Bit-identical to the
-// legacy ApplyClause path in emitted tuples and their order (see the
-// determinism note above); `stats`, when non-null, receives the probe
-// counters. `parent_ids`, when non-null, captures why-provenance: one
+// batch kernel, collecting candidate head tuples in the order the
+// determinism note above describes; `stats`, when non-null, receives the
+// probe counters. `parent_ids`, when non-null, captures why-provenance: one
 // vector per emitted candidate holding the positive body atoms' matched
-// entry ids in body order (identical between the two kernels — the
-// reorder sort restores body-order emission before projection).
+// entry ids in body order.
 [[nodiscard]] Status ApplyClauseBatch(
     const NormalizedClause& clause, const ClausePlan& plan,
     const std::vector<AtomSource>& sources, const NormalizeLimits& limits,
@@ -186,7 +163,7 @@ struct GroundHeadPlan {
   };
   std::vector<Derivation> derivations;  // In head_temporal_vars order.
   // False when some head variable cannot be pinned statically; the kernel
-  // reports the legacy UnimplementedError for any surviving binding.
+  // reports UnimplementedError for any surviving binding.
   bool all_pinned = true;
   // Raw finite bounds involving at least one head variable, checkable only
   // after the derivations ran.
@@ -196,11 +173,10 @@ struct GroundHeadPlan {
 // A clause compiled for the windowed ground kernel: body-order compiled
 // atoms, negation filter descriptors, and the hoisted head plan.
 struct GroundClausePlan {
-  ClausePlan join;  // Body order (allow_reorder == false).
+  ClausePlan join;  // Negated atoms compile to empty descriptor sets.
   // One filter per negated body atom: how to assemble the probe fact from
   // a binding. Variables are guaranteed bound when `vars_bound`; otherwise
-  // the kernel reports the legacy InvalidArgumentError for any surviving
-  // binding.
+  // the kernel reports InvalidArgumentError for any surviving binding.
   struct NegatedProbe {
     int body_index = 0;
     bool vars_bound = true;

@@ -7,6 +7,13 @@
 // tuples whose possibly infinite ground sets are inserted with an exact
 // "adds nothing new" test.
 //
+// Every clause application — each round's tasks and QueryAtom's one-atom
+// clause alike — runs through one join path, the compiled-plan batch
+// kernel (src/core/clause_plan.h). Its oracle is an independent semantics:
+// the windowed ground evaluator (src/core/ground_evaluator.h, the §4.3
+// baseline), whose model the tests compare point by point with this one
+// inside a window interior.
+//
 // Termination bookkeeping mirrors the paper:
 //  * free-extension safety (Theorem 4.2): a round adds no generalized tuple
 //    with a new free extension (lrp vector + data). This is guaranteed to
@@ -80,13 +87,6 @@ struct EvaluationOptions {
   // kDefaultMaxRounds) on top of max_iterations above. Setting
   // limits.exec directly is equivalent; this field wins if both are set.
   ExecContext* exec = nullptr;
-  // Apply clauses through the compiled-plan batch kernel (columnar
-  // TupleBlock scans over cached ClausePlans, DESIGN.md §9) instead of the
-  // tuple-at-a-time legacy join. Both paths produce the bit-identical
-  // model, insertion order, and Explain(false) dump at any thread count;
-  // the legacy path is kept as the differential oracle
-  // (tests/batch_kernel_test.cc) and for ablation.
-  bool use_batch_kernel = true;
   // Worker threads for the clause-application phase of each round
   // (DESIGN.md §8). 0 (the default) resolves through
   // ThreadPool::DefaultThreads(), i.e. the LRPDB_THREADS environment
@@ -98,11 +98,10 @@ struct EvaluationOptions {
   // Optional why-provenance recording (src/core/provenance.h): when
   // non-null, every IDB insert records a derivation origin — (clause
   // index, positive-body parent EntryIds, round) — into this log,
-  // subsumption-aware, from both the batch and legacy kernels. Not owned;
-  // must outlive the evaluation and any WhyProvenance queries over its
-  // EntryIds. Recording disables result compaction (compaction renumbers
-  // entries; the model is unchanged, just uncompacted). Ignored under
-  // LRPDB_NO_PROVENANCE builds.
+  // subsumption-aware. Not owned; must outlive the evaluation and any
+  // WhyProvenance queries over its EntryIds. Recording disables result
+  // compaction (compaction renumbers entries; the model is unchanged, just
+  // uncompacted). Ignored under LRPDB_NO_PROVENANCE builds.
   ProvenanceLog* provenance = nullptr;
 };
 
@@ -147,14 +146,15 @@ struct RuleProfile {
   int clause_index = 0;
   std::string head_predicate;
   std::string rule;  // Rendered "head :- body" sketch for dumps.
-  // ApplyClause invocations: 1 for the initial full round plus one per
+  // Clause applications: 1 for the initial full round plus one per
   // nonempty semi-naive delta pivot per later round.
   int64_t applications = 0;
   int64_t derivations = 0;   // Candidate head tuples produced (attempted).
   int64_t inserted = 0;      // Candidates kept (new ground tuples).
   int64_t subsumed = 0;      // Candidates adding nothing new (or empty).
   int64_t new_free_extensions = 0;  // Inserted tuples with a new signature.
-  int64_t apply_us = 0;      // Wall time in ApplyClause (join + project).
+  int64_t apply_us = 0;      // Wall time in clause application (join +
+                             // project).
 };
 
 // The evaluation's EXPLAIN profile: per-rule totals plus evaluation-wide

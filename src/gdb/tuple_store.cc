@@ -122,6 +122,24 @@ void TupleStore::BumpStat(int64_t StoreStats::*field, int64_t amount,
   MirrorInsertStats(field, amount);
 }
 
+void TupleStore::CountProbe(StoreStats* round_stats, int64_t scanned,
+                            int64_t pruned) const {
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_.index_probes;
+    stats_.tuples_scanned += scanned;
+    stats_.tuples_pruned += pruned;
+  }
+  if (round_stats != nullptr) {
+    ++round_stats->index_probes;
+    round_stats->tuples_scanned += scanned;
+    round_stats->tuples_pruned += pruned;
+  }
+  LRPDB_COUNTER_INC("store.index_probes");
+  LRPDB_COUNTER_ADD("store.tuples_scanned", scanned);
+  LRPDB_COUNTER_ADD("store.tuples_pruned", pruned);
+}
+
 [[nodiscard]] StatusOr<const std::vector<NormalizedTuple>*> TupleStore::pieces(
     EntryId id, const NormalizeLimits& limits) const {
   LRPDB_FAILPOINT("tuple_store.pieces");
@@ -322,20 +340,6 @@ size_t TupleStore::CompactTombstones() {
   LRPDB_COUNTER_ADD("store.tombstones_compacted",
                     static_cast<int64_t>(compacted));
   return compacted;
-}
-
-const std::vector<EntryId>* TupleStore::SmallestPosting(
-    const std::vector<TupleStore::DataRequirement>& requirements) const {
-  const std::vector<EntryId>* best = nullptr;
-  for (const DataRequirement& req : requirements) {
-    const auto& column = data_index_[req.column];
-    auto it = column.find(req.value);
-    if (it == column.end()) return nullptr;
-    if (best == nullptr || it->second.size() < best->size()) {
-      best = &it->second;
-    }
-  }
-  return best;
 }
 
 [[nodiscard]] Status TupleStore::CheckConsistency() const {

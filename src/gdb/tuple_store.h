@@ -104,10 +104,10 @@ struct InsertOutcome {
 // Thread-safety contract: mutations (Insert, InsertUnlessEmpty,
 // AdvanceGeneration, set_index_enabled) require exclusive access. Between
 // mutations, any number of threads may issue const operations concurrently
-// — ForEachCandidate, pieces(), stats(), CheckConsistency, ToString — the
-// two pieces of const-path mutable state (the lazy residue-piece cache and
-// the probe counters) are guarded by internal mutexes, annotated below for
-// Clang's -Wthread-safety and exercised from 8 threads under TSan in
+// — PostingFor, CountProbe, pieces(), stats(), CheckConsistency, ToString —
+// the two pieces of const-path mutable state (the lazy residue-piece cache
+// and the probe counters) are guarded by internal mutexes, annotated below
+// for Clang's -Wthread-safety and exercised from 8 threads under TSan in
 // tests/tuple_store_test.cc. Exception to the "between mutations" rule:
 // approx_bytes() and stats() are safe to call concurrently *with* a
 // mutation (a monitoring thread sampling memory while an evaluation
@@ -163,36 +163,25 @@ class TupleStore {
   }
 
   // The posting list for `value` in data column `column` (ascending entry
-  // ids), or nullptr when no entry carries that value. Only meaningful with
-  // index_enabled(); compiled clause plans (src/core/clause_plan.h) probe
-  // postings directly so selectivity ordering happens once per clause
-  // instead of once per candidate scan.
+  // ids), or nullptr when no entry carries that value. Postings hold live
+  // entries only (Tombstone() prunes them). Maintained whether or not
+  // index_enabled(); the batch kernel (src/core/clause_plan.h) probes them
+  // only when it is.
   const std::vector<EntryId>* PostingFor(int column, DataValue value) const {
     const auto& index = data_index_[column];
     auto it = index.find(value);
     return it == index.end() ? nullptr : &it->second;
   }
 
-  // One probe's worth of counter updates, a single critical section per
-  // candidate scan rather than per yielded tuple. Public so the batch
-  // kernel's fused scans report through the same counters as
-  // ForEachCandidateInRange.
+  // Counts one join probe of this store: `scanned` entries yielded to the
+  // join and `pruned` skipped by the index, goal, or generation filter (the
+  // two sum to the probed range). Folds into the lifetime stats (under
+  // stats_mu_), the caller's round stats (caller-owned, unlocked, may be
+  // null), and the registry's store.index_probes / store.tuples_scanned /
+  // store.tuples_pruned counters — one critical section per probe, not per
+  // yielded tuple.
   void CountProbe(StoreStats* round_stats, int64_t scanned,
-                  int64_t pruned) const LRPDB_LOCKS_EXCLUDED(stats_mu_) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.index_probes;
-      stats_.tuples_scanned += scanned;
-      stats_.tuples_pruned += pruned;
-    }
-    if (round_stats != nullptr) {
-      ++round_stats->index_probes;
-      round_stats->tuples_scanned += scanned;
-      round_stats->tuples_pruned += pruned;
-    }
-    LRPDB_COUNTER_ADD("store.tuples_scanned", scanned);
-    LRPDB_COUNTER_ADD("store.tuples_pruned", pruned);
-  }
+                  int64_t pruned) const LRPDB_LOCKS_EXCLUDED(stats_mu_);
 
   // The residue pieces of entry `id`, computed on first use and cached.
   // The returned pointer stays valid until the next mutation; the pointee
@@ -281,72 +270,9 @@ class TupleStore {
   // Requires exclusive access.
   size_t CompactTombstones() LRPDB_LOCKS_EXCLUDED(pieces_mu_);
 
-  // --- Join-side candidate probes ---
-
-  // Invokes `fn(EntryId)` for every entry of `generation` compatible with
-  // the data requirements, scanning only the most selective posting list
-  // (or the generation range when no requirement is given or indexing is
-  // disabled). Entries yielded are a superset filter: the caller's unifier
-  // re-checks everything; entries *not* yielded are guaranteed mismatches.
-  template <typename Fn>
-  void ForEachCandidate(const std::vector<DataRequirement>& requirements,
-                        Generation generation, StoreStats* round_stats,
-                        Fn&& fn) const {
-    size_t lo = generation == Generation::kDelta ? delta_lo_ : 0;
-    size_t hi = generation == Generation::kDelta ? delta_hi_ : entries_.size();
-    ForEachCandidateInRange(requirements, lo, hi, round_stats,
-                            std::forward<Fn>(fn));
-  }
-
-  // Same probe restricted to the entry-id range [lo, hi). The parallel
-  // evaluator shards a clause by splitting an enumeration range into
-  // contiguous sub-ranges: because every candidate source (posting list or
-  // direct scan) yields ascending ids, concatenating the sub-ranges' yields
-  // in range order reproduces the unsharded sequence exactly — the
-  // determinism argument of DESIGN.md §8 rests on this.
-  template <typename Fn>
-  void ForEachCandidateInRange(const std::vector<DataRequirement>& requirements,
-                               size_t lo, size_t hi, StoreStats* round_stats,
-                               Fn&& fn) const {
-    LRPDB_COUNTER_INC("store.index_probes");
-    int64_t scanned = 0;
-    const std::vector<EntryId>* posting = nullptr;
-    if (index_enabled_ && !requirements.empty()) {
-      posting = SmallestPosting(requirements);
-      if (posting == nullptr) {
-        // Some required value has no posting list: no candidates at all.
-        CountProbe(round_stats, 0, static_cast<int64_t>(hi - lo));
-        return;
-      }
-    }
-    if (posting != nullptr) {
-      // Postings are ascending, so the generation filter is a range scan.
-      // Tombstoned entries were pruned from the posting at Tombstone()
-      // time, so this path yields live ids only.
-      auto it = std::lower_bound(posting->begin(), posting->end(),
-                                 static_cast<EntryId>(lo));
-      for (; it != posting->end() && *it < hi; ++it) {
-        ++scanned;
-        fn(*it);
-      }
-    } else if (has_tombstones()) {
-      for (size_t id = lo; id < hi; ++id) {
-        if (!is_live(static_cast<EntryId>(id))) continue;
-        ++scanned;
-        fn(static_cast<EntryId>(id));
-      }
-    } else {
-      for (size_t id = lo; id < hi; ++id) {
-        ++scanned;
-        fn(static_cast<EntryId>(id));
-      }
-    }
-    CountProbe(round_stats, scanned, static_cast<int64_t>(hi - lo) - scanned);
-  }
-
   // Disables the signature/data indexes for probing: Insert finds
-  // same-signature entries by linear scan and ForEachCandidate scans the
-  // full generation range. Results are identical to the indexed path (the
+  // same-signature entries by linear scan and join probes scan the full
+  // generation range. Results are identical to the indexed path (the
   // indexes are still maintained); this is the brute-force reference for
   // differential tests.
   void set_index_enabled(bool enabled) { index_enabled_ = enabled; }
@@ -388,11 +314,6 @@ class TupleStore {
   // Returns the outcome's new_signature flag.
   bool Append(GeneralizedTuple tuple, std::vector<NormalizedTuple> pieces,
               bool normalized) LRPDB_LOCKS_EXCLUDED(pieces_mu_);
-
-  // The smallest posting list among the requirements, or nullptr when some
-  // required value has no entries at all.
-  const std::vector<EntryId>* SmallestPosting(
-      const std::vector<DataRequirement>& requirements) const;
 
   // Folds one insert-path counter into the lifetime stats (under stats_mu_),
   // the caller's round stats (caller-owned, unlocked), and the registry.

@@ -1,18 +1,30 @@
-// Differential suite for the compiled-plan batch kernel (DESIGN.md §9):
-// randomized programs evaluated with EvaluationOptions::use_batch_kernel on
-// and off must produce the bit-identical model — the same relations with
-// the same insertion order (relation dumps compare stored order, not just
-// set equality) and the same timing-free Explain(), at 1, 2, and 8 worker
-// threads. The legacy tuple-at-a-time ApplyClause is the oracle; any
-// divergence in join order, mask logic, posting selection, or the
-// reordered-plan id sort shows up as a fingerprint mismatch.
+// Oracle suite for the generalized evaluator's join path, the compiled-plan
+// batch kernel (DESIGN.md §9). The oracle is the paper's §4.3 baseline, an
+// independent semantics: every randomized program's closed-form model must
+// hold exactly the ground points EvaluateGround derives, over a window
+// interior that every derivation of an interior fact fits inside (the
+// approach of evaluator_property_test.cc, widened to data columns, joins,
+// negation, clause constraints, and aliased columns). Each model must also
+// be bit-identical — relation dumps in stored order plus the timing-free
+// Explain() — at 1, 2, and 8 worker threads.
+//
+// Both evaluators compile their atoms through the same CompileAtom, so a
+// fault there could make them agree on a wrong answer. The fixed corner
+// cases therefore assert ground points written out by hand, against the
+// generalized model and the ground model alike.
+#include <algorithm>
+#include <map>
+#include <numeric>
+#include <optional>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/core/evaluator.h"
+#include "src/core/ground_evaluator.h"
 #include "src/parser/parser.h"
 
 namespace lrpdb {
@@ -25,135 +37,273 @@ struct Fingerprint {
   std::string relations;
 };
 
-Fingerprint MakeFingerprint(const std::string& text, int num_threads,
-                            bool use_batch_kernel) {
-  Database db;
-  auto unit = Parse(text, &db);
-  EXPECT_TRUE(unit.ok()) << unit.status() << "\n" << text;
-  EvaluationOptions options;
-  options.num_threads = num_threads;
-  options.use_batch_kernel = use_batch_kernel;
-  auto result = Evaluate(unit->program, db, options);
-  EXPECT_TRUE(result.ok()) << result.status() << "\n" << text;
+Fingerprint FingerprintOf(const EvaluationResult& result, const Database& db) {
   Fingerprint fp;
-  fp.explain = result->Explain(/*include_timings=*/false);
-  for (const auto& [name, relation] : result->idb) {
+  fp.explain = result.Explain(/*include_timings=*/false);
+  for (const auto& [name, relation] : result.idb) {
     fp.relations += name + ":\n" + relation.ToString(&db.interner());
   }
   return fp;
 }
 
-// Asserts batch == legacy at every thread count, all against the
-// single-threaded legacy reference.
-void ExpectBatchMatchesLegacy(const std::string& text) {
-  SCOPED_TRACE(text);
-  Fingerprint reference =
-      MakeFingerprint(text, /*num_threads=*/1, /*use_batch_kernel=*/false);
-  for (int threads : {1, 2, 8}) {
-    Fingerprint batch = MakeFingerprint(text, threads, true);
-    EXPECT_EQ(batch.explain, reference.explain) << "threads=" << threads;
-    EXPECT_EQ(batch.relations, reference.relations) << "threads=" << threads;
-    Fingerprint legacy = MakeFingerprint(text, threads, false);
-    EXPECT_EQ(legacy.explain, reference.explain) << "threads=" << threads;
-    EXPECT_EQ(legacy.relations, reference.relations) << "threads=" << threads;
+// "t1 t2 ... d1 d2 ..." with data constants by name: ground points in a
+// form a test can write out by hand. Point lists below are sorted as
+// strings.
+std::string Render(const GroundTuple& point, const Database& db) {
+  std::string s;
+  for (int64_t t : point.times) s += (s.empty() ? "" : " ") + std::to_string(t);
+  for (DataValue d : point.data) {
+    s += (s.empty() ? "" : " ") + db.interner().NameOf(d);
   }
+  return s;
+}
+
+// The generalized relation's ground points with every time in [lo, hi).
+std::vector<std::string> Points(const GeneralizedRelation& relation,
+                                const Database& db, int64_t lo, int64_t hi) {
+  std::set<GroundTuple> points;
+  for (GroundTuple& point : relation.EnumerateGround(lo, hi)) {
+    points.insert(std::move(point));
+  }
+  std::vector<std::string> out;
+  for (const GroundTuple& point : points) out.push_back(Render(point, db));
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// The ground model's facts with every time in [lo, hi).
+std::vector<std::string> Points(const GroundFactStore& facts,
+                                const Database& db, int64_t lo, int64_t hi) {
+  std::set<GroundTuple> points;
+  for (const GroundTuple& fact : facts) {
+    if (std::all_of(fact.times.begin(), fact.times.end(),
+                    [&](int64_t t) { return t >= lo && t < hi; })) {
+      points.insert(fact);
+    }
+  }
+  std::vector<std::string> out;
+  for (const GroundTuple& point : points) out.push_back(Render(point, db));
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Evaluates `text` at 1, 2, and 8 threads (asserting bit-identical
+// fingerprints) and over the ground window [interior_lo - reach,
+// interior_hi + kAbove); then requires every IDB relation to hold the same
+// ground points in both models inside [interior_lo, interior_hi). `reach`
+// bounds how far below a fact's time its derivations may go; no rule looks
+// more than kAbove above its head. Returns the generalized model's points
+// per relation, for callers that also pin them by hand.
+constexpr int64_t kAbove = 32;
+
+std::map<std::string, std::vector<std::string>> ExpectMatchesGroundOracle(
+    const std::string& text, int64_t interior_lo, int64_t interior_hi,
+    int64_t reach) {
+  SCOPED_TRACE(text);
+  std::map<std::string, std::vector<std::string>> model;
+  Database db;
+  auto unit = Parse(text, &db);
+  EXPECT_TRUE(unit.ok()) << unit.status();
+  if (!unit.ok()) return model;
+  std::optional<EvaluationResult> reference;
+  Fingerprint reference_fp;
+  for (int threads : {1, 2, 8}) {
+    EvaluationOptions options;
+    options.num_threads = threads;
+    auto result = Evaluate(unit->program, db, options);
+    EXPECT_TRUE(result.ok()) << result.status();
+    if (!result.ok()) return model;
+    EXPECT_TRUE(result->reached_fixpoint);
+    Fingerprint fp = FingerprintOf(*result, db);
+    if (!reference.has_value()) {
+      reference = std::move(*result);
+      reference_fp = std::move(fp);
+      continue;
+    }
+    EXPECT_EQ(fp.explain, reference_fp.explain) << "threads=" << threads;
+    EXPECT_EQ(fp.relations, reference_fp.relations) << "threads=" << threads;
+  }
+  GroundEvaluationOptions ground_options;
+  ground_options.window_lo = interior_lo - reach;
+  ground_options.window_hi = interior_hi + kAbove;
+  auto ground = EvaluateGround(unit->program, db, ground_options);
+  EXPECT_TRUE(ground.ok()) << ground.status();
+  if (!ground.ok()) return model;
+  for (const auto& [name, relation] : reference->idb) {
+    model[name] = Points(relation, db, interior_lo, interior_hi);
+    EXPECT_EQ(model[name],
+              Points(ground->idb.at(name), db, interior_lo, interior_hi))
+        << "relation " << name << " (generalized vs ground) over ["
+        << interior_lo << ", " << interior_hi << ")";
+  }
+  return model;
+}
+
+// A generated program plus what the oracle comparison needs to know.
+struct RandomProgram {
+  std::string text;
+  int64_t period = 0;
+  // Upper bound on how far below an IDB fact's time its shortest
+  // derivation reaches (see Generate).
+  int64_t reach = 0;
+};
+
+// How far below its head a shortest derivation through the recursive rule
+// `x(t + s) :- x(t), ...` can reach when every condition is P-periodic: the
+// chain has fewer than P / gcd(s, P) links, since dropping a full cycle of
+// links leaves a valid chain whose base lies in the same residue class.
+int64_t ChainReach(int64_t step, int64_t period) {
+  return period / std::gcd(step, period) * step;
 }
 
 // Random programs over a periodic EDB with data columns, designed to hit
-// every compiled-plan shape: constant-pinned columns (posting resolution at
-// compile time), data variables shared across atoms (per-binding bound
-// probes and join reordering), repeated variables within one atom (intra
-// equalities), multi-atom joins, recursion (delta pivots and shard splits),
-// and stratified negation.
-std::string Generate(std::mt19937& rng) {
+// every compiled-plan shape: constant-pinned columns (compile-time
+// posting resolution, possibly absent values), data variables shared
+// across atoms (per-binding bound probes), repeated data variables within
+// one atom (intra equalities), a temporal variable repeated over columns a
+// tuple constraint keeps apart (the alias check), clause constraint atoms,
+// multi-atom joins, recursion (delta pivots and shard splits), and
+// stratified negation. Every EDB relation is P-periodic in both
+// directions, so the model is too, and every head offset and body lookahead
+// is at most 6 (below kAbove).
+RandomProgram Generate(std::mt19937& rng) {
   std::uniform_int_distribution<int> small(0, 6);
   std::uniform_int_distribution<int> step(1, 12);
   const int period = 24 + 12 * static_cast<int>(rng() % 3);
+  const std::string p_n = std::to_string(period) + "n+";
   const char* values[] = {"\"a\"", "\"b\"", "\"c\""};
-  std::string s = R"(
+  RandomProgram out;
+  out.period = period;
+  std::string& s = out.text;
+  s = R"(
     .decl e(time, data)
     .decl p(time, data)
     .decl q(time, data)
   )";
   const int num_facts = 2 + static_cast<int>(rng() % 3);
   for (int i = 0; i < num_facts; ++i) {
-    s += ".fact e(" + std::to_string(period) + "n+" +
-         std::to_string(small(rng)) + ", " + values[rng() % 3] + ").\n";
+    s += ".fact e(" + p_n + std::to_string(small(rng)) + ", " +
+         values[rng() % 3] + ").\n";
   }
+  const int p_step = step(rng);
   s += "p(t + " + std::to_string(small(rng)) + ", N) :- e(t, N).\n";
-  s += "p(t + " + std::to_string(step(rng)) + ", N) :- p(t, N).\n";
+  s += "p(t + " + std::to_string(p_step) + ", N) :- p(t, N).\n";
+  const int64_t p_reach = 6 + ChainReach(p_step, period);
+  // q's non-recursive rules read p at most 6 below their head.
+  int64_t q_reach = 6 + p_reach;
   // Join with a shared data variable: the second atom probes N's posting.
   s += "q(t + " + std::to_string(small(rng)) + ", N) :- p(t, N), e(t + " +
        std::to_string(small(rng)) + ", N).\n";
   if (rng() % 2 == 0) {
-    // Constant-pinned atom plus an unconstrained one: the plan compiler
-    // reorders the constant atom forward (selectivity), and the kernel's
-    // body-order id sort must restore the legacy emission order.
+    // Constant-pinned atom plus an unconstrained one.
     s += "q(t + " + std::to_string(small(rng)) + ", M) :- p(t, " +
          values[rng() % 3] + "), e(t + " + std::to_string(small(rng)) +
          ", M).\n";
   }
   if (rng() % 2 == 0) {
-    // Three-way join, two recursive atoms.
-    s += "q(t + " + std::to_string(step(rng)) + ", N) :- e(t, N), p(t + " +
-         std::to_string(small(rng)) + ", N), q(t, N).\n";
+    // Three-way join, two recursive atoms. The recursive atoms come first:
+    // whichever of them is the semi-naive pivot, the ground oracle's
+    // nested loop then starts from one full relation and one delta.
+    const int q_step = step(rng);
+    s += "q(t + " + std::to_string(q_step) + ", N) :- q(t, N), p(t + " +
+         std::to_string(small(rng)) + ", N), e(t, N).\n";
+    q_reach += ChainReach(q_step, period);
   }
   if (rng() % 2 == 0) {
     // Repeated data variable within one atom (intra-column equality).
     s = ".decl d2(time, data, data)\n" + s;
-    s += ".fact d2(" + std::to_string(period) + "n+" +
-         std::to_string(small(rng)) + ", \"a\", \"a\").\n";
-    s += ".fact d2(" + std::to_string(period) + "n+" +
-         std::to_string(small(rng)) + ", \"a\", \"b\").\n";
+    s += ".fact d2(" + p_n + std::to_string(small(rng)) +
+         ", \"a\", \"a\").\n";
+    s += ".fact d2(" + p_n + std::to_string(small(rng)) +
+         ", \"a\", \"b\").\n";
     s += "q(t, N) :- d2(t, N, N).\n";
+  }
+  if (rng() % 2 == 0) {
+    // Clause constraint atoms relating two body variables: one tied to the
+    // head variable, and one between variables the head never sees (in
+    // the ground kernel only the per-atom bound checks can reject those).
+    s = ".decl soon(time, data)\n.decl close(data)\n.decl near(time, data)\n" +
+        s;
+    s += "soon(t, N) :- p(t, N), e(u, N), t < u, u <= t + " +
+         std::to_string(1 + small(rng)) + ".\n";
+    s += "close(N) :- e(u, N), e(v, N), u < v, v <= u + " +
+         std::to_string(1 + small(rng)) + ".\n";
+    s += "near(t, N) :- p(t, N), close(N).\n";
+  }
+  if (rng() % 2 == 0) {
+    // One temporal variable over both columns of an interval relation:
+    // the first fact's columns share a residue but sit a period apart, so
+    // only the second fact has diagonal points.
+    s = ".decl iv(time, time)\n.decl diag(time)\n" + s;
+    const std::string x = p_n + std::to_string(small(rng));
+    const std::string y = p_n + std::to_string(7 + small(rng));
+    s += ".fact iv(" + x + ", " + x + ") with T2 = T1 + " +
+         std::to_string(period) + ".\n";
+    s += ".fact iv(" + y + ", " + y + ") with T2 = T1.\n";
+    s += "diag(t) :- iv(t, t).\n";
   }
   if (rng() % 3 == 0) {
     // Stratified negation: the negated atom reads q's complement.
     s = ".decl r(time, data)\n" + s;
     s += "r(t, N) :- p(t, N), !q(t, N).\n";
   }
-  return s;
+  out.reach = q_reach + 16;
+  return out;
 }
 
 class BatchKernelRandomTest : public ::testing::TestWithParam<int> {};
 
-// 25 seeds x 8 programs = 200 random programs, each run through batch and
-// legacy at 1, 2, and 8 threads.
+// 25 seeds x 8 programs = 200 random programs, each evaluated at 1, 2, and
+// 8 threads and against the ground oracle over two periods. (The name
+// predates the ground oracle; it is kept so the suite's test ids stay
+// stable.)
 TEST_P(BatchKernelRandomTest, BitIdenticalToLegacyAcrossThreadCounts) {
   std::mt19937 rng(static_cast<unsigned>(GetParam()) * 9176 + 11);
   for (int iter = 0; iter < 8; ++iter) {
-    ExpectBatchMatchesLegacy(Generate(rng));
+    RandomProgram program = Generate(rng);
+    ExpectMatchesGroundOracle(program.text, 0, 2 * program.period,
+                              program.reach);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchKernelRandomTest,
                          ::testing::Range(1, 26));
 
-// --- Fixed corner cases ---------------------------------------------------
+// --- Fixed corner cases: ground points written out by hand ---------------
+
+using Model = std::map<std::string, std::vector<std::string>>;
 
 TEST(BatchKernelTest, Example41IntervalsWithConstraints) {
-  ExpectBatchMatchesLegacy(R"(
+  // problems starts at (168n+10, 168n+12) and steps by 48; gcd(48, 168) =
+  // 24, so it holds (t, t + 2) for every t = 10 mod 24.
+  Model model = ExpectMatchesGroundOracle(R"(
     .decl course(time, time, data)
     .decl problems(time, time, data)
     .fact course(168n+8, 168n+10, "database") with T2 = T1 + 2.
     problems(t1 + 2, t2 + 2, N) :- course(t1, t2, N).
     problems(t1 + 48, t2 + 48, N) :- problems(t1, t2, N).
-  )");
+  )",
+                                          0, 61, 400);
+  EXPECT_EQ(model["problems"],
+            (std::vector<std::string>{"10 12 database", "34 36 database",
+                                      "58 60 database"}));
 }
 
 TEST(BatchKernelTest, NegationOverComplement) {
-  ExpectBatchMatchesLegacy(R"(
+  Model model = ExpectMatchesGroundOracle(R"(
     .decl tick(time)
     .decl quiet(time)
     .fact tick(3n).
     quiet(t) :- tick(t), !tick(t + 1).
-  )");
+  )",
+                                          0, 10, 16);
+  EXPECT_EQ(model["quiet"], (std::vector<std::string>{"0", "3", "6", "9"}));
 }
 
 TEST(BatchKernelTest, ConstantOnlyAtomAndProjection) {
-  // One atom fully pinned by a constant (compile-time posting, possibly
-  // absent value) plus a head that projects a body variable away.
-  ExpectBatchMatchesLegacy(R"(
+  // A head that projects a body variable away, and a recursion that adds
+  // nothing new to z.
+  Model model = ExpectMatchesGroundOracle(R"(
     .decl iv(time, time)
     .decl w(time)
     .decl z(time)
@@ -161,24 +311,30 @@ TEST(BatchKernelTest, ConstantOnlyAtomAndProjection) {
     w(t1) :- iv(t1, t2).
     z(t + 24) :- z(t), w(t).
     z(t) :- w(t).
-  )");
+  )",
+                                          0, 50, 64);
+  EXPECT_EQ(model["w"], (std::vector<std::string>{"1", "25", "49"}));
+  EXPECT_EQ(model["z"], (std::vector<std::string>{"1", "25", "49"}));
 }
 
 TEST(BatchKernelTest, MissingConstantValueEmptiesJoin) {
   // "nope" never appears in e's data column: the compiled plan's constant
-  // posting probe must yield an empty frontier, exactly like the legacy
-  // index path.
-  ExpectBatchMatchesLegacy(R"(
+  // posting probe must yield an empty frontier.
+  Model model = ExpectMatchesGroundOracle(R"(
     .decl e(time, data)
     .decl p(time, data)
     .fact e(6n, "a").
     p(t, N) :- e(t, N), e(t, "nope").
     p(t + 1, N) :- p(t, N).
-  )");
+  )",
+                                          0, 24, 16);
+  EXPECT_TRUE(model["p"].empty());
 }
 
 TEST(BatchKernelTest, WideMultiRuleRecursion) {
-  ExpectBatchMatchesLegacy(R"(
+  // p = seed + 12i + 11j (i >= 1 or j = 0) and 11 is coprime to 96, so p
+  // and q both hold at every time for every one of the eight values.
+  Model model = ExpectMatchesGroundOracle(R"(
     .decl seed(time, data)
     .decl p(time, data)
     .decl q(time, data)
@@ -194,37 +350,97 @@ TEST(BatchKernelTest, WideMultiRuleRecursion) {
     q(t + 5, N) :- p(t, N).
     p(t + 7, N) :- q(t, N).
     q(t + 11, N) :- q(t, N).
-  )");
+  )",
+                                          0, 4, 96 * 12 + 96 * 11);
+  std::vector<std::string> everywhere;
+  for (const char* value : {"a", "b", "c", "d", "e", "f", "g", "h"}) {
+    for (int t = 0; t < 4; ++t) {
+      everywhere.push_back(std::to_string(t) + " " + value);
+    }
+  }
+  std::sort(everywhere.begin(), everywhere.end());
+  EXPECT_EQ(model["p"], everywhere);
+  EXPECT_EQ(model["q"], everywhere);
 }
 
 TEST(BatchKernelTest, UnindexedStorageFallsBackToRangeScans) {
-  // With indexed_storage off both kernels must scan ranges and still agree.
-  const std::string text = R"(
+  // With indexed_storage off the kernel scans ranges and filters every
+  // data column itself; the points must not change.
+  Database db;
+  auto unit = Parse(R"(
     .decl e(time, data)
     .decl p(time, data)
     .fact e(12n+1, "a").
     .fact e(12n+5, "b").
     p(t + 2, N) :- e(t, N), e(t, N).
     p(t + 12, N) :- p(t, N).
-  )";
-  Database db;
-  auto unit = Parse(text, &db);
+  )",
+                    &db);
   ASSERT_TRUE(unit.ok()) << unit.status();
-  Fingerprint fps[2];
-  for (bool batch : {false, true}) {
+  for (bool indexed : {true, false}) {
     EvaluationOptions options;
-    options.indexed_storage = false;
-    options.use_batch_kernel = batch;
+    options.indexed_storage = indexed;
     auto result = Evaluate(unit->program, db, options);
     ASSERT_TRUE(result.ok()) << result.status();
-    Fingerprint& fp = fps[batch ? 1 : 0];
-    fp.explain = result->Explain(false);
-    for (const auto& [name, relation] : result->idb) {
-      fp.relations += name + ":\n" + relation.ToString(&db.interner());
-    }
+    EXPECT_EQ(Points(result->Relation("p"), db, 0, 24),
+              (std::vector<std::string>{"15 a", "19 b", "3 a", "7 b"}))
+        << "indexed=" << indexed;
   }
-  EXPECT_EQ(fps[0].explain, fps[1].explain);
-  EXPECT_EQ(fps[0].relations, fps[1].relations);
+}
+
+TEST(BatchKernelTest, RepeatedDataVariableWithinAtom) {
+  // Only the ("a", "a") fact has equal columns.
+  Model model = ExpectMatchesGroundOracle(R"(
+    .decl d2(time, data, data)
+    .decl q(time, data)
+    .fact d2(24n+1, "a", "a").
+    .fact d2(24n+5, "a", "b").
+    q(t, N) :- d2(t, N, N).
+  )",
+                                          0, 30, 16);
+  EXPECT_EQ(model["q"], (std::vector<std::string>{"1 a", "25 a"}));
+}
+
+TEST(BatchKernelTest, AliasedTemporalColumnsHonorTheTupleConstraint) {
+  // Both facts put T1 and T2 in one residue class, but the first holds
+  // them a period apart: iv(t, t) only matches the second.
+  Model model = ExpectMatchesGroundOracle(R"(
+    .decl iv(time, time)
+    .decl diag(time)
+    .fact iv(24n+3, 24n+3) with T2 = T1 + 24.
+    .fact iv(24n+7, 24n+7) with T2 = T1.
+    diag(t) :- iv(t, t).
+  )",
+                                          0, 48, 16);
+  EXPECT_EQ(model["diag"], (std::vector<std::string>{"31", "7"}));
+}
+
+TEST(BatchKernelTest, ClauseConstraintsBoundTheJoin) {
+  // e holds "a" at 0 and 5 mod 12 and "b" at 3 and 4 mod 12.
+  // soon(t, N): p(t, N) = e(t + 1, N), and some e(u, N) has t < u <= t + 2:
+  // t = 4 (u = 5), 11 (u = 12) for "a"; 2 (u = 3, 4), 3 (u = 4) for "b".
+  // close(N): two e(., N) at most 2 apart — "b" only; near(t, N) = p(t, N)
+  // with close(N).
+  Model model = ExpectMatchesGroundOracle(R"(
+    .decl e(time, data)
+    .decl p(time, data)
+    .decl soon(time, data)
+    .decl close(data)
+    .decl near(time, data)
+    .fact e(12n, "a").
+    .fact e(12n+5, "a").
+    .fact e(12n+3, "b").
+    .fact e(12n+4, "b").
+    p(t, N) :- e(t + 1, N).
+    soon(t, N) :- p(t, N), e(u, N), t < u, u <= t + 2.
+    close(N) :- e(u, N), e(v, N), u < v, v <= u + 2.
+    near(t, N) :- p(t, N), close(N).
+  )",
+                                          0, 12, 32);
+  EXPECT_EQ(model["soon"],
+            (std::vector<std::string>{"11 a", "2 b", "3 b", "4 a"}));
+  EXPECT_EQ(model["close"], (std::vector<std::string>{"b"}));
+  EXPECT_EQ(model["near"], (std::vector<std::string>{"2 b", "3 b"}));
 }
 
 }  // namespace

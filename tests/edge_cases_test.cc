@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/evaluator.h"
+#include "src/core/incremental.h"
 #include "src/gdb/serialize.h"
 #include "src/parser/parser.h"
 #include "src/templog/templog.h"
@@ -161,6 +162,114 @@ TEST(QueryAtomTest, OffsetInQueryTerm) {
     EXPECT_EQ(answers->ContainsGround({t}, {}), FloorMod(t + 2, 5) == 0)
         << t;
   }
+}
+
+// The query shapes below each take a distinct branch of the batch kernel
+// QueryAtom runs on; every answer set is written out by hand.
+TEST(QueryAtomTest, RepeatedDataVariableSelectsEqualColumns) {
+  Database db;
+  auto unit = Parse(R"(
+    .decl d2(time, data, data)
+    .fact d2(24n+1, "a", "a").
+    .fact d2(24n+5, "a", "b").
+    .fact d2(24n+9, "b", "b").
+  )",
+                    &db);
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  auto result = Evaluate(unit->program, db);
+  ASSERT_TRUE(result.ok()) << result.status();
+  // ?- d2(t, N, N): the intra-atom equality keeps the "a","a" and "b","b"
+  // facts only.
+  PredicateAtom query;
+  query.predicate = unit->program.predicates().Find("d2");
+  SymbolId t = unit->program.variables().Intern("t");
+  SymbolId n = unit->program.variables().Intern("N");
+  query.temporal_args = {TemporalTerm::Variable(t)};
+  query.data_args = {DataTerm::Variable(n), DataTerm::Variable(n)};
+  auto answers = QueryAtom(unit->program, db, *result, query);
+  ASSERT_TRUE(answers.ok()) << answers.status();
+  EXPECT_EQ(answers->schema().temporal_arity, 1);
+  EXPECT_EQ(answers->schema().data_arity, 1);
+  const DataValue a = db.Constant("a");
+  const DataValue b = db.Constant("b");
+  EXPECT_EQ(answers->EnumerateGround(0, 24),
+            (std::vector<GroundTuple>{{{1}, {a}}, {{9}, {b}}}));
+}
+
+TEST(QueryAtomTest, AbsentDataConstantAnswersNothing) {
+  Database db;
+  auto unit = Parse(R"(
+    .decl e(time, data, data)
+    .fact e(6n, "a", "b").
+  )",
+                    &db);
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  auto result = Evaluate(unit->program, db);
+  ASSERT_TRUE(result.ok()) << result.status();
+  // "zzz" is interned but no entry carries it: its posting does not exist,
+  // so the query answers nothing, alone or next to a present constant.
+  const DataValue a = db.Constant("a");
+  const DataValue b = db.Constant("b");
+  const DataValue zzz = db.Constant("zzz");
+  PredicateAtom query;
+  query.predicate = unit->program.predicates().Find("e");
+  SymbolId t = unit->program.variables().Intern("t");
+  query.temporal_args = {TemporalTerm::Variable(t)};
+  for (DataValue first : {zzz, a}) {
+    query.data_args = {DataTerm::Constant(first), DataTerm::Constant(zzz)};
+    auto answers = QueryAtom(unit->program, db, *result, query);
+    ASSERT_TRUE(answers.ok()) << answers.status();
+    EXPECT_TRUE(answers->empty());
+  }
+  query.data_args = {DataTerm::Constant(a), DataTerm::Constant(b)};
+  auto present = QueryAtom(unit->program, db, *result, query);
+  ASSERT_TRUE(present.ok()) << present.status();
+  EXPECT_EQ(present->EnumerateGround(0, 12),
+            (std::vector<GroundTuple>{{{0}, {}}, {{6}, {}}}));
+}
+
+TEST(QueryAtomTest, OpenQuerySkipsRetractedFacts) {
+  Database db;
+  auto unit = Parse(R"(
+    .decl e(time, data)
+    .decl p(time, data)
+    .fact e(24n+1, "a").
+    .fact e(24n+2, "b").
+    .fact e(24n+3, "c").
+    p(t + 1, N) :- e(t, N).
+  )",
+                    &db);
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  IncrementalEvaluator inc(unit->program, &db);
+  ASSERT_TRUE(inc.Initialize().ok());
+  const DataValue a = db.Constant("a");
+  const DataValue b = db.Constant("b");
+  const DataValue c = db.Constant("c");
+  ASSERT_TRUE(inc.RetractFacts({FactUpdate{
+                                   "e", GeneralizedTuple::Unconstrained(
+                                            {Lrp(24, 2)}, {b})}})
+                  .ok());
+  auto e = db.Relation("e");
+  ASSERT_TRUE(e.ok());
+  ASSERT_TRUE((*e)->store().has_tombstones());
+  // ?- e(t, N) and ?- p(t, N) pin no data column, so the kernel scans the
+  // whole entry range; the retracted fact and its consequence must not
+  // come back.
+  SymbolId t = unit->program.variables().Intern("t");
+  SymbolId n = unit->program.variables().Intern("N");
+  PredicateAtom query;
+  query.temporal_args = {TemporalTerm::Variable(t)};
+  query.data_args = {DataTerm::Variable(n)};
+  query.predicate = unit->program.predicates().Find("e");
+  auto edb = QueryAtom(unit->program, db, inc.Result(), query);
+  ASSERT_TRUE(edb.ok()) << edb.status();
+  EXPECT_EQ(edb->EnumerateGround(0, 24),
+            (std::vector<GroundTuple>{{{1}, {a}}, {{3}, {c}}}));
+  query.predicate = unit->program.predicates().Find("p");
+  auto idb = QueryAtom(unit->program, db, inc.Result(), query);
+  ASSERT_TRUE(idb.ok()) << idb.status();
+  EXPECT_EQ(idb->EnumerateGround(0, 24),
+            (std::vector<GroundTuple>{{{2}, {a}}, {{4}, {c}}}));
 }
 
 TEST(ParserEdgeTest, CommentsAndWhitespaceEverywhere) {

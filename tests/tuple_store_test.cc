@@ -14,6 +14,7 @@
 
 #include "src/core/evaluator.h"
 #include "src/gdb/tuple_store.h"
+#include "src/obs/metrics.h"
 #include "src/parser/parser.h"
 
 namespace lrpdb {
@@ -206,16 +207,10 @@ TEST(TupleStoreTest, DeltaGenerationProtocol) {
   EXPECT_EQ(store.delta_hi(), 2u);
   EXPECT_EQ(store.delta_size(), 2u);
 
-  std::vector<EntryId> delta_ids;
-  store.ForEachCandidate({}, TupleStore::Generation::kDelta, nullptr,
-                         [&](EntryId id) { delta_ids.push_back(id); });
-  EXPECT_EQ(delta_ids, (std::vector<EntryId>{0, 1}));
 
   store.AdvanceGeneration();  // Delta = {2}.
-  delta_ids.clear();
-  store.ForEachCandidate({}, TupleStore::Generation::kDelta, nullptr,
-                         [&](EntryId id) { delta_ids.push_back(id); });
-  EXPECT_EQ(delta_ids, (std::vector<EntryId>{2}));
+  EXPECT_EQ(store.delta_lo(), 2u);
+  EXPECT_EQ(store.delta_hi(), 3u);
 
   store.AdvanceGeneration();  // Nothing appended: delta empty.
   EXPECT_EQ(store.delta_size(), 0u);
@@ -230,36 +225,35 @@ TEST(TupleStoreTest, DataRequirementProbeScansOnlyPostingBucket) {
         store.Insert(Banded(13, i, 0, 25, i % 3 == 0 ? 5 : 100 + i))
             ->inserted);
   }
+  // The posting for value 5 is exactly its bucket, ascending; a value no
+  // entry carries has no posting at all.
+  const std::vector<EntryId>* posting = store.PostingFor(0, 5);
+  ASSERT_NE(posting, nullptr);
+  EXPECT_EQ(*posting, (std::vector<EntryId>{0, 3, 6, 9}));
+  EXPECT_EQ(store.PostingFor(0, 999), nullptr);
+
+  // A probe that scans the posting counts it as scanned and the rest of
+  // the range as pruned, in the caller's round stats and the lifetime
+  // stats alike.
   StoreStats probe;
-  std::vector<EntryId> ids;
-  store.ForEachCandidate({{0, 5}}, TupleStore::Generation::kAll, &probe,
-                         [&](EntryId id) { ids.push_back(id); });
-  EXPECT_EQ(ids, (std::vector<EntryId>{0, 3, 6, 9}));
+  const int64_t scanned = static_cast<int64_t>(posting->size());
+  store.CountProbe(&probe, scanned, static_cast<int64_t>(store.size()) -
+                                        scanned);
   EXPECT_EQ(probe.index_probes, 1);
   EXPECT_EQ(probe.tuples_scanned, 4);
   EXPECT_EQ(probe.tuples_pruned, 8);
-  // scanned + pruned always accounts for the full generation range.
-  EXPECT_EQ(probe.tuples_scanned + probe.tuples_pruned,
-            static_cast<int64_t>(store.size()));
+  // A probe whose value has no posting prunes everything; a null round
+  // stats pointer still counts toward the lifetime stats.
+  store.CountProbe(nullptr, 0, static_cast<int64_t>(store.size()));
+  StoreStats lifetime = store.stats();
+  EXPECT_EQ(lifetime.index_probes, 2);
+  EXPECT_EQ(lifetime.tuples_scanned, 4);
+  EXPECT_EQ(lifetime.tuples_pruned, 20);
 
-  // A value with no posting yields zero candidates, all pruned.
-  probe = StoreStats();
-  ids.clear();
-  store.ForEachCandidate({{0, 999}}, TupleStore::Generation::kAll, &probe,
-                         [&](EntryId id) { ids.push_back(id); });
-  EXPECT_TRUE(ids.empty());
-  EXPECT_EQ(probe.tuples_scanned, 0);
-  EXPECT_EQ(probe.tuples_pruned, 12);
-
-  // The brute-force reference scans everything (pruned == 0) but yields a
-  // superset that the caller's unifier filters.
+  // Disabling the index for probing leaves the postings maintained.
   store.set_index_enabled(false);
-  probe = StoreStats();
-  int64_t yielded = 0;
-  store.ForEachCandidate({{0, 5}}, TupleStore::Generation::kAll, &probe,
-                         [&](EntryId) { ++yielded; });
-  EXPECT_EQ(yielded, 12);
-  EXPECT_EQ(probe.tuples_pruned, 0);
+  ASSERT_TRUE(store.Insert(Banded(13, 12, 0, 25, 5))->inserted);
+  EXPECT_EQ(*store.PostingFor(0, 5), (std::vector<EntryId>{0, 3, 6, 9, 12}));
 }
 
 TEST(TupleStoreTest, GroundFactStoreDedupOrderAndDelta) {
@@ -385,10 +379,38 @@ TEST(TupleStoreEvaluatorTest, JoinProbesPruneByBoundDataColumns) {
   }
 }
 
+// Every join probe the evaluator issues reaches the registry's store.*
+// probe counters too: across one Evaluate, each counter moves by exactly
+// the matching field of the round totals.
+TEST(TupleStoreEvaluatorTest, ProbeCountersMirrorIntoTheRegistry) {
+#if defined(LRPDB_NO_METRICS)
+  GTEST_SKIP() << "built with LRPDB_NO_METRICS";
+#else
+  Database db;
+  auto unit = Parse(kDifferentialPrograms[1], &db);
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Counter* probes = registry.GetCounter("store.index_probes");
+  obs::Counter* scanned = registry.GetCounter("store.tuples_scanned");
+  obs::Counter* pruned = registry.GetCounter("store.tuples_pruned");
+  const int64_t probes_before = probes->value();
+  const int64_t scanned_before = scanned->value();
+  const int64_t pruned_before = pruned->value();
+  auto result = Evaluate(unit->program, db);
+  ASSERT_TRUE(result.ok()) << result.status();
+  const StoreStats totals = result->StoreTotals();
+  EXPECT_GT(totals.index_probes, 0);
+  EXPECT_EQ(probes->value() - probes_before, totals.index_probes);
+  EXPECT_EQ(scanned->value() - scanned_before, totals.tuples_scanned);
+  EXPECT_EQ(pruned->value() - pruned_before, totals.tuples_pruned);
+#endif
+}
+
 // Contention coverage for the store's documented const surface: with the
-// store fully built, ForEachCandidate (whose probe counters go through
-// stats_mu_), pieces() (whose lazy normalized-piece cache goes through
-// pieces_mu_), and stats() must all be callable from many threads at once.
+// store fully built, PostingFor, CountProbe (whose probe counters go
+// through stats_mu_), pieces() (whose lazy normalized-piece cache goes
+// through pieces_mu_), and stats() must all be callable from many threads
+// at once.
 // Runs under TSan via ci/check.sh --tsan. Failures are accumulated into
 // atomics and asserted after the join, keeping gtest single-threaded.
 TEST(TupleStoreTest, ConcurrentConstReadsShareCachesSafely) {
@@ -417,12 +439,13 @@ TEST(TupleStoreTest, ConcurrentConstReadsShareCachesSafely) {
       while (started.load() < kThreads) {
       }
       for (int i = 0; i < kIterations; ++i) {
-        std::vector<TupleStore::DataRequirement> requirements{
-            {0, static_cast<DataValue>(t % 3)}};
-        int64_t local = 0;
+        const std::vector<EntryId>* posting =
+            store.PostingFor(0, static_cast<DataValue>(t % 3));
+        const int64_t local =
+            posting == nullptr ? 0 : static_cast<int64_t>(posting->size());
         StoreStats probe_stats;
-        store.ForEachCandidate(requirements, TupleStore::Generation::kAll,
-                               &probe_stats, [&](EntryId id) { ++local; });
+        store.CountProbe(&probe_stats, local,
+                         static_cast<int64_t>(num_entries) - local);
         matched.fetch_add(local);
         auto pieces =
             store.pieces(static_cast<EntryId>((t * 37 + i) % num_entries));
@@ -441,8 +464,8 @@ TEST(TupleStoreTest, ConcurrentConstReadsShareCachesSafely) {
   // threads are spread as t % 3 = {0, 0, 0, 1, 1, 1, 2, 2}.
   EXPECT_EQ(matched.load(), kIterations * (3 * 24 + 3 * 24 + 2 * 16));
   // The lifetime counters kept counting during the stampede: one index
-  // probe per ForEachCandidate call, none lost to racing bumps.
-  EXPECT_GE(store.stats().index_probes, int64_t{kThreads} * kIterations);
+  // probe per CountProbe call, none lost to racing bumps.
+  EXPECT_EQ(store.stats().index_probes, int64_t{kThreads} * kIterations);
 }
 
 TEST(TupleStoreTest, ApproxBytesGrowsWithEveryInsertAndSurvivesMoves) {
