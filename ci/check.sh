@@ -119,6 +119,14 @@ if [[ "$sanitize" == 1 && "$tsan" == 1 ]]; then
   exit 2
 fi
 
+# The suites every LRPDB_THREADS=8 TSan pass reruns (--faults and --tsan):
+# the parallel-evaluator suites, the provenance and incremental random
+# gauntlets, and the random kernel suite (BatchKernelRandomTest: 200
+# programs against the ground oracle at 1, 2, and 8 threads), which drives
+# the one generalized join kernel, whose thread-local scratch QueryAtom
+# shares, across the most program shapes.
+parallel_filter='(ThreadPoolTest|ParallelEvaluatorTest|ParallelDeterminismTest)\.|ProvenanceRandomTest\.|IncrementalRandomTest\.|BatchKernelRandomTest\.'
+
 if [[ "$faults" == 1 ]]; then
   # The fault-injection pass owns its own sanitized trees; it does not
   # compose with --sanitize/--tsan (those rerun the *full* suite instead).
@@ -138,12 +146,8 @@ if [[ "$faults" == 1 ]]; then
   storage_filter='^(Crc32cTest|FileUtilTest|CodecTest|WalTest|SnapshotTest|StoreTest|StoreFaultTest)\.'
   # The incremental gauntlet rides both legs: every schedule step exercises
   # resume evaluation at {1, 2, 8} threads, so ASan watches the DRed
-  # unwinding paths and TSan the 8-wide resume rounds. The random kernel
-  # suite (BatchKernelRandomTest: 200 programs against the ground oracle at
-  # 1, 2, and 8 threads) joins the 8-wide TSan pass: it drives the one
-  # generalized join kernel, whose thread-local scratch QueryAtom shares,
-  # across the most program shapes.
-  parallel_filter='(ThreadPoolTest|ParallelEvaluatorTest|ParallelDeterminismTest)\.|ProvenanceRandomTest\.|IncrementalRandomTest\.|BatchKernelRandomTest\.'
+  # unwinding paths and TSan the 8-wide resume rounds ($parallel_filter
+  # above).
   echo "== fault injection: ASan"
   cmake -B build-asan -S . -DLRPDB_SANITIZE=ON
   cmake --build build-asan -j"$(nproc)" --target \
@@ -251,11 +255,12 @@ if [[ "$tsan" == 1 ]]; then
   # TSan needs to see contended.
   LRPDB_TRACE="$PWD/$build_dir/ctest-trace.json" \
     ctest --test-dir "$build_dir" --output-on-failure
-  # Second pass over the parallel-evaluator suites and the random kernel
-  # suite with 8 worker threads forced: maximal pool contention under TSan,
-  # with the determinism assertions re-checking the merged results.
+  # Second pass over the parallel suites and random gauntlets
+  # ($parallel_filter, the same set --faults reruns) with 8 worker threads
+  # forced: maximal pool contention under TSan, with the determinism
+  # assertions re-checking the merged results.
   LRPDB_THREADS=8 ctest --test-dir "$build_dir" --output-on-failure \
-    -R '(ThreadPoolTest|ParallelEvaluatorTest|ParallelDeterminismTest)\.|ProvenanceRandomTest\.|BatchKernelRandomTest\.'
+    -R "$parallel_filter"
 else
   ctest --test-dir "$build_dir" --output-on-failure
 fi

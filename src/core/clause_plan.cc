@@ -44,8 +44,10 @@ CompiledAtom CompileAtom(const NormalizedClause& clause, int body_index,
   for (const CompiledAtom::VarColumn& bind : compiled.binding_columns) {
     (*data_bound)[bind.variable] = true;
   }
-  // Temporal columns, same split (used by the ground kernel; the
-  // generalized kernel intersects lrps uniformly instead).
+  // Temporal columns, same split. Both kernels read temporal_checks (the
+  // ground kernel compares values, the generalized kernel masks rows by
+  // lrp residue); the binds and intra repeats drive the ground kernel
+  // only, as the generalized kernel unifies every column's lrp.
   std::vector<std::pair<int, int64_t>> first_temporal(
       clause.num_temporal_vars, {-1, 0});
   for (size_t k = 0; k < atom.temporal_args.size(); ++k) {
@@ -323,6 +325,16 @@ bool UnifyTemporal(const NormalizedBodyAtom& atom,
       }
       for (auto [column_a, column_b] : compiled.intra_equalities) {
         BatchSelectDataColumnsEqual(block, column_a, column_b, &mask);
+      }
+      // Residue mask: a column whose variable an earlier atom bound must
+      // meet that variable's lrp, moved into column space (column value ==
+      // var + offset). Rejects exactly the rows whose lrp intersection in
+      // UnifyTemporal would fail, before any binding copy.
+      for (const CompiledAtom::TemporalColumn& check :
+           compiled.temporal_checks) {
+        BatchSelectLrpCompatible(
+            block, check.column,
+            binding.lrps[check.variable]->Shifted(check.offset), &mask);
       }
       LRPDB_HISTOGRAM_RECORD(
           "eval.batch.mask_density",

@@ -4,10 +4,11 @@
 // A ClausePlan compiles a clause's join structure once: for each body atom,
 // in body order, which data columns are pinned by constants, which carry
 // variables bound by earlier atoms (index probes), which bind new
-// variables, and which repeat a variable within the atom. ApplyClauseBatch
-// then streams candidates from the store's posting lists through one fused
-// select/shift/join/project loop over TupleBlocks (src/gdb/batch.h)
-// instead of materializing per-operator relations.
+// variables, which repeat a variable within the atom, and which temporal
+// columns carry a variable bound earlier (the residue mask).
+// ApplyClauseBatch then streams candidates from the store's posting lists
+// through one fused select/shift/join/project loop over TupleBlocks
+// (src/gdb/batch.h) instead of materializing per-operator relations.
 //
 // Determinism (DESIGN.md §8): the kernel extends its frontier breadth-first
 // in body order, and every per-binding scan (posting list, goal list, or
@@ -83,14 +84,17 @@ struct CompiledAtom {
   // Column pairs that repeat one variable first bound within this atom.
   std::vector<std::pair<int, int>> intra_equalities;
 
-  // Ground-kernel temporal descriptors (column value == variable + offset).
+  // Temporal descriptors (column value == variable + offset).
   struct TemporalColumn {
     int column = 0;
     int variable = 0;
     int64_t offset = 0;
   };
-  std::vector<TemporalColumn> temporal_checks;  // Variable bound earlier.
-  std::vector<TemporalColumn> temporal_binds;   // First occurrence.
+  // Columns whose variable an earlier atom bound: value checks in the
+  // ground kernel, the lrp residue mask in the generalized kernel.
+  std::vector<TemporalColumn> temporal_checks;
+  // Ground kernel only: first occurrences.
+  std::vector<TemporalColumn> temporal_binds;
   // Intra-atom repeats: times[column_a] - offset_a == times[column_b] -
   // offset_b.
   struct TemporalIntra {

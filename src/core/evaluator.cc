@@ -268,33 +268,45 @@ std::string EvaluationResult::Explain(bool include_timings) const {
 namespace {
 
 // Goal-directed re-derivation (ResumeSeed::goals): among the positive body
-// atoms of `clause` that carry head data variables, picks the one whose
-// store keeps the smallest share of its live entries once restricted to
-// entries agreeing with some goal on every such column (ties to the lowest
-// body index), and fills `ids` with those entries, ascending. Returns the
-// atom's body index, or -1 when no positive atom carries a head data
-// variable.
+// atoms of `clause` that carry a head data variable no earlier positive
+// atom binds, picks the one whose store keeps the smallest share of its
+// live entries once restricted to entries agreeing with some goal on every
+// head-variable column (ties to the lowest body index), and fills `ids`
+// with those entries, ascending. An atom whose head variables are all bound
+// earlier is skipped: the kernel reaches it through postings of those
+// values, so its goal list would prune nothing before the earlier atoms'
+// full enumeration. The first atom carrying a head variable is always a
+// candidate. Returns the atom's body index, or -1 when no positive atom
+// carries a head data variable.
 int SelectGoalAtom(const NormalizedClause& clause,
                    const std::vector<AtomSource>& sources,
                    const std::set<std::vector<DataValue>>& goals,
                    std::vector<EntryId>* ids) {
   int chosen = -1;
   size_t chosen_live = 0;
+  // Data variables bound by the positive atoms before `a`.
+  std::vector<bool> bound(clause.num_data_vars, false);
   for (size_t a = 0; a < clause.body.size(); ++a) {
     const NormalizedBodyAtom& atom = clause.body[a];
     if (atom.negated) continue;
     // (atom column, head column) pairs sharing a data variable.
     std::vector<std::pair<int, size_t>> columns;
+    bool binds_head_variable = false;
     for (size_t k = 0; k < atom.data_args.size(); ++k) {
       if (atom.data_args[k].is_constant()) continue;
       for (size_t j = 0; j < clause.head_data.size(); ++j) {
         if (!clause.head_data[j].is_constant() &&
             clause.head_data[j].variable == atom.data_args[k].variable) {
           columns.emplace_back(static_cast<int>(k), j);
+          binds_head_variable = binds_head_variable ||
+                                !bound[atom.data_args[k].variable];
         }
       }
     }
-    if (columns.empty()) continue;
+    for (const NormalizedDataArg& arg : atom.data_args) {
+      if (!arg.is_constant()) bound[arg.variable] = true;
+    }
+    if (!binds_head_variable) continue;
     // The goals projected onto those columns: distinct keys admit disjoint
     // entry sets.
     std::set<std::vector<DataValue>> keys;

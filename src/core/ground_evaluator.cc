@@ -39,7 +39,12 @@ struct FlatFrontier {
 };
 
 // One (clause, pivot) application through the compiled plan: a nested-loop
-// join in body order, facts enumerated in ascending index order. Every raw
+// join in body order, facts enumerated in ascending index order. In round
+// 1, `round_start` holds each body atom's store size when the stratum
+// began and every atom reads only those facts, so a fact inserted this
+// round is joined only by the next round's delta pivot; later rounds pass
+// null, and the pivot atom reads its store's delta generation while the
+// others read the whole store. Every raw
 // clause bound is checked at the first atom where both endpoints are
 // assigned (assigned values never change, so a later recheck would find
 // nothing new); bounds that involve head variables solved from the closed
@@ -47,7 +52,8 @@ struct FlatFrontier {
 [[nodiscard]] Status ApplyGroundPlan(
     const NormalizedClause& clause, const GroundClausePlan& plan,
     const std::vector<const GroundFactStore*>& facts,
-    GroundFactStore& head_facts, int pivot, bool use_delta,
+    GroundFactStore& head_facts, int pivot,
+    const std::vector<size_t>* round_start,
     const GroundEvaluationOptions& options, ExecContext* exec, bool* grew,
     GroundEvaluationResult* result, const ProvCapture* prov) {
   const size_t nt = static_cast<size_t>(clause.num_temporal_vars);
@@ -86,9 +92,13 @@ struct FlatFrontier {
     const NormalizedBodyAtom& atom = clause.body[compiled.body_index];
     if (atom.negated) continue;
     const GroundFactStore* store = facts[compiled.body_index];
-    const bool delta_only = use_delta && compiled.body_index == pivot;
+    const bool delta_only =
+        round_start == nullptr && compiled.body_index == pivot;
     const size_t lo = delta_only ? store->delta_lo() : 0;
-    const size_t hi = delta_only ? store->delta_hi() : store->size();
+    const size_t hi = delta_only ? store->delta_hi()
+                      : round_start == nullptr
+                          ? store->size()
+                          : (*round_start)[compiled.body_index];
     const int64_t scanned =
         static_cast<int64_t>(frontier.rows) * static_cast<int64_t>(hi - lo);
     tuples_in += scanned;
@@ -403,6 +413,18 @@ struct FlatFrontier {
   // semi-naive ground evaluation within each stratum, driven by the
   // stores' delta generations (facts inserted in the previous round).
   for (int stratum = 0; stratum <= max_stratum; ++stratum) {
+  // Round 1 joins the facts stored when the stratum began (see
+  // ApplyGroundPlan): one size per body atom of the stratum's clauses.
+  std::vector<std::vector<size_t>> stratum_start(normalized.clauses.size());
+  for (size_t ci = 0; ci < normalized.clauses.size(); ++ci) {
+    if (normalized.clauses[ci].always_false ||
+        strata.at(normalized.clauses[ci].head_predicate) != stratum) {
+      continue;
+    }
+    for (const GroundFactStore* store : clause_facts[ci]) {
+      stratum_start[ci].push_back(store->size());
+    }
+  }
   for (int round = 1;; ++round) {
     if (exec != nullptr) {
       LRPDB_RETURN_IF_ERROR(exec->CheckNow());
@@ -448,7 +470,8 @@ struct FlatFrontier {
         }
         LRPDB_RETURN_IF_ERROR(ApplyGroundPlan(
             clause, plans[ci], clause_facts[ci], head_facts, pivot,
-            /*use_delta=*/round > 1, options, exec, &grew, &result, prov));
+            round == 1 ? &stratum_start[ci] : nullptr, options, exec, &grew,
+            &result, prov));
       }
     }
     result.iterations += 1;

@@ -192,7 +192,7 @@ void IncrementalEvaluator::ClearDeltas() {
     // Exact matches share the fact's free extension, so only its signature
     // bucket can hold them.
     for (EntryId id :
-         store.LiveEntriesWithSignature(update.tuple.free_extension())) {
+         store.LiveEntriesWithSignature(update.tuple.free_extension_view())) {
       const GeneralizedTuple& stored = store.tuple(id);
       if (stored.lrps() != update.tuple.lrps()) continue;
       if (stored.data() != update.tuple.data()) continue;
@@ -211,10 +211,12 @@ void IncrementalEvaluator::ClearDeltas() {
     return FullRecompute();
   }
   // DRed over-delete: walk the reverse provenance edges forward from the
-  // retracted entries and tombstone every transitive dependent. Recorded
-  // origins over-approximate real derivations (absorbers included), so
-  // everything whose support might be gone is deleted — soundness of the
-  // re-derive below (DESIGN.md §13).
+  // retracted entries and tombstone every transitive dependent. Every
+  // entry's own insertion origin is recorded, so everything whose support
+  // might be gone is deleted — soundness of the re-derive below (DESIGN.md
+  // §13). Origins of absorbed candidates add edges only to the entries
+  // that absorbed them (provenance.h), which can widen the wave but never
+  // narrow it below that.
   LRPDB_FAILPOINT("incremental.over_delete");
   // Destructive phase: until the re-derive completes, the model is only a
   // sound subset of the fixpoint. Any early error exit leaves it marked so

@@ -16,9 +16,9 @@
 //  * RetractFacts(batch) removes EDB tuples by exact value match and runs
 //    DRed-style deletion: the recorded provenance reverse index
 //    (ProvenanceLog::Dependents) drives an over-delete of every transitive
-//    dependent — sound because an entry's recorded origins over-approximate
-//    its real derivations (subsumption absorbers, provenance.h) — then
-//    re-derives through the same resumed loop, goal-directed: the data
+//    dependent — sound because every entry's own insertion origin is
+//    recorded, plus the origins of candidates it absorbed (provenance.h) —
+//    then re-derives through the same resumed loop, goal-directed: the data
 //    values of the over-deleted entries seed ResumeSeed::goals, so each
 //    affected clause re-applies once over only the entries that can
 //    rebuild them. Exact EDB matches are found through the store's

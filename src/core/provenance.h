@@ -18,16 +18,26 @@
 // indices — so one query/render surface serves both.
 //
 // Subsumption semantics. The store's exact insert can absorb a candidate
-// into the same-signature entries whose union already contains it. The
-// absorbed candidate still carries real derivation information, so its
-// origin is attached to every absorbing entry (InsertOutcome::absorbers): a
-// sound over-approximation — each recorded origin derives a subset of the
-// entry's ground set, and the union of an entry's origins re-derives a
-// superset of it. Inserts never remove entries, so recorded (relation,
-// entry) addresses stay resolvable for the lifetime of the store. The one
-// incompatibility is result compaction, which rebuilds relations and
-// renumbers entries: the evaluator skips compaction while recording (the
-// model is unchanged, just reported in uncompacted closed form).
+// into same-signature entries that already contain it. The absorbed
+// candidate still carries real derivation information, so its origin is
+// attached to every absorbing entry (InsertOutcome::absorbers): exactly the
+// entries owning the residue pieces that each contain one of the
+// candidate's pieces, or the whole signature bucket when only a union of
+// pieces covers it. The evaluator's candidates are single residue pieces
+// (the kernel emits one per piece), so on the single-piece path the origin
+// lands on one entry and re-derives a subset of it. A candidate that only
+// several entries cover together — a union-covered one, or a multi-piece
+// candidate whose pieces sit in different entries — has its origin on each
+// of them, and no single one contains what it re-derives. Every stored
+// entry keeps its own exact insertion origin, so the union of an entry's
+// origins re-derives a superset of it whichever way absorbers are drawn;
+// narrower absorbers only narrow DRed's over-deletion
+// (src/core/incremental.h). Inserts never remove entries, so
+// recorded (relation, entry) addresses stay resolvable for the lifetime of
+// the store. The one incompatibility is result compaction, which rebuilds
+// relations and renumbers entries: the evaluator skips compaction while
+// recording (the model is unchanged, just reported in uncompacted closed
+// form).
 //
 // Threading contract: Record() is called only from the evaluator's
 // sequential insert phase (the parallel apply workers capture parent ids

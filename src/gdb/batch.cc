@@ -1,5 +1,6 @@
 #include "src/gdb/batch.h"
 
+#include <numeric>
 #include <utility>
 
 #include "src/common/exec_context.h"
@@ -24,6 +25,22 @@ void BatchSelectDataColumnsEqual(const TupleBlock& block, int column_a,
   });
 }
 
+void BatchSelectLrpCompatible(const TupleBlock& block, int column,
+                              const Lrp& lrp, SelectionMask* mask) {
+  const std::vector<Lrp>& col = block.store().lrp_column(column);
+  const int64_t period = lrp.period();
+  const int64_t offset = lrp.offset();
+  mask->KeepIf([&](size_t row) {
+    const Lrp& row_lrp = col[block.id(row)];
+    // Canonical offsets lie in [0, period): equal periods need equal
+    // offsets; otherwise the classes meet iff the offsets agree modulo
+    // the gcd of the periods.
+    if (row_lrp.period() == period) return row_lrp.offset() == offset;
+    return (row_lrp.offset() - offset) % std::gcd(row_lrp.period(), period) ==
+           0;
+  });
+}
+
 void BatchConstraintConjoin(const TupleBlock& block, const Dbm& constraint,
                             SelectionMask* mask, std::vector<Dbm>* out) {
   if (out != nullptr) out->assign(block.rows(), Dbm(0));
@@ -39,9 +56,9 @@ void BatchConstraintConjoin(const TupleBlock& block, const Dbm& constraint,
 void BatchShiftColumn(const TupleBlock& block, int column, int64_t c,
                       const SelectionMask& mask, std::vector<Lrp>* out) {
   out->assign(block.rows(), Lrp());
-  mask.ForEachSet([&](size_t row) {
-    (*out)[row] = block.tuple(row).lrp(column).Shifted(c);
-  });
+  const std::vector<Lrp>& col = block.store().lrp_column(column);
+  mask.ForEachSet(
+      [&](size_t row) { (*out)[row] = col[block.id(row)].Shifted(c); });
 }
 
 [[nodiscard]] Status BatchProject(const TupleBlock& block,

@@ -3,12 +3,12 @@
 // The tuple-at-a-time algebra materializes a GeneralizedRelation per
 // operator. The batch layer instead views a slice of one TupleStore as a
 // TupleBlock — a structure-of-arrays window onto the store's columnar
-// DataValue mirrors plus per-row handles through which the stored LRP
-// vector and constraint DBM are reachable — and lets operators refine a
-// bitset SelectionMask in place. A fused chain of batch selects touches a
-// rejected row exactly once (a word-wide bit test plus one column load) and
-// allocates nothing; only rows surviving the whole chain ever reach DBM or
-// residue work. Modeled on the bitset-masked batch tables of z3's dataflow
+// DataValue and LRP mirrors plus per-row handles through which the stored
+// constraint DBM is reachable — and lets operators refine a bitset
+// SelectionMask in place. A fused chain of batch selects (data equalities,
+// then LRP residue compatibility) touches a rejected row exactly once (a
+// word-wide bit test plus one column load) and allocates nothing; only rows
+// surviving the whole chain ever reach DBM or residue work. Modeled on the bitset-masked batch tables of z3's dataflow
 // engine (SNIPPETS.md Snippet 3).
 #ifndef LRPDB_GDB_BATCH_H_
 #define LRPDB_GDB_BATCH_H_
@@ -94,8 +94,8 @@ class SelectionMask {
 // slice of a posting list, clipped to a range. Rows map to ascending entry
 // ids in both forms, which is what lets sharded batch scans concatenate
 // deterministically (DESIGN.md §8). The block holds no tuple data itself;
-// data columns resolve through the store's columnar mirrors and LRP/DBM
-// pieces through the per-row entry handle.
+// data and LRP columns resolve through the store's columnar mirrors and the
+// DBM through the per-row entry handle.
 class TupleBlock {
  public:
   TupleBlock() = default;
@@ -164,6 +164,13 @@ void BatchSelectDataEquals(const TupleBlock& block, int column,
 void BatchSelectDataColumnsEqual(const TupleBlock& block, int column_a,
                                  int column_b, SelectionMask* mask);
 
+// Keeps rows whose temporal column `column` can share a point with `lrp`
+// (the two residue classes intersect). Reads the columnar LRP mirror and
+// allocates nothing: with equal periods the test is an offset compare,
+// otherwise a gcd.
+void BatchSelectLrpCompatible(const TupleBlock& block, int column,
+                              const Lrp& lrp, SelectionMask* mask);
+
 // Conjoins `constraint` (over the block's temporal columns) into each
 // selected row's stored DBM, clearing rows whose conjunction becomes
 // unsatisfiable. When `out` is non-null it is resized to block.rows() and
@@ -172,7 +179,7 @@ void BatchConstraintConjoin(const TupleBlock& block, const Dbm& constraint,
                             SelectionMask* mask, std::vector<Dbm>* out);
 
 // Shifts temporal column `column` of every selected row by `c` in lrp
-// space: out[row] = tuple.lrp(column).Shifted(c). `out` is resized to
+// space: out[row] = (row's lrp in `column`).Shifted(c). `out` is resized to
 // block.rows(); unselected rows keep a default Lrp. (The DBM half of a full
 // column shift is Dbm::ShiftVariable, applied by whoever consumes the
 // shifted lrps.)

@@ -33,15 +33,48 @@ struct FreeExtension {
   }
 };
 
+// A non-owning view of a tuple's free extension: probes a FreeExtension-
+// keyed hash map without copying the lrp and data vectors (the
+// transparent-hash lookup the interner uses for names).
+struct FreeExtensionView {
+  const std::vector<Lrp>& lrps;
+  const std::vector<DataValue>& data;
+};
+
+// Transparent hash and equality over FreeExtension and FreeExtensionView:
+// a view hashes and compares exactly like the extension it mirrors.
 struct FreeExtensionHash {
+  using is_transparent = void;
   size_t operator()(const FreeExtension& fe) const {
+    return Hash(fe.lrps, fe.data);
+  }
+  size_t operator()(const FreeExtensionView& fe) const {
+    return Hash(fe.lrps, fe.data);
+  }
+
+ private:
+  static size_t Hash(const std::vector<Lrp>& lrps,
+                     const std::vector<DataValue>& data) {
     size_t h = 0;
-    for (const Lrp& l : fe.lrps) {
+    for (const Lrp& l : lrps) {
       h = HashCombine(h, static_cast<size_t>(l.period()));
       h = HashCombine(h, static_cast<size_t>(l.offset()));
     }
-    for (DataValue d : fe.data) h = HashCombine(h, static_cast<size_t>(d));
+    for (DataValue d : data) h = HashCombine(h, static_cast<size_t>(d));
     return h;
+  }
+};
+
+struct FreeExtensionEq {
+  using is_transparent = void;
+  bool operator()(const FreeExtension& a, const FreeExtension& b) const {
+    return a == b;
+  }
+  bool operator()(const FreeExtensionView& a, const FreeExtension& b) const {
+    return a.lrps == b.lrps && a.data == b.data;
+  }
+  bool operator()(const FreeExtension& a, const FreeExtensionView& b) const {
+    return (*this)(b, a);
   }
 };
 
@@ -66,6 +99,8 @@ class GeneralizedTuple {
   Dbm& mutable_constraint() { return constraint_; }
 
   FreeExtension free_extension() const { return {lrps_, data_}; }
+  // The same key without the copies, for hash-map probes.
+  FreeExtensionView free_extension_view() const { return {lrps_, data_}; }
 
   // True iff the represented ground set contains (times, data). `times` uses
   // the same column order as lrps().

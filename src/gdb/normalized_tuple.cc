@@ -1,7 +1,7 @@
 #include "src/gdb/normalized_tuple.h"
 
 #include <algorithm>
-#include <map>
+#include <deque>
 #include <optional>
 
 #include "src/common/exec_context.h"
@@ -274,36 +274,53 @@ std::string NormalizedTuple::ToString() const {
 
 namespace {
 
-// Key grouping directly comparable pieces.
-struct ClassKey {
-  std::vector<int64_t> residues;
-  std::vector<DataValue> data;
-  friend bool operator<(const ClassKey& a, const ClassKey& b) {
-    if (a.residues != b.residues) return a.residues < b.residues;
-    return a.data < b.data;
-  }
-};
+// Pieces by address: set operations read stored pieces in place.
+using PieceRefs = std::vector<const NormalizedTuple*>;
 
-// Aligns every piece of `pieces` to `target`, appending into `out`.
-[[nodiscard]] Status AlignAll(const std::vector<NormalizedTuple>& pieces, int64_t target,
-                const NormalizeLimits& limits,
-                std::vector<NormalizedTuple>* out) {
-  for (const NormalizedTuple& p : pieces) {
+PieceRefs RefsOf(const std::vector<NormalizedTuple>& pieces) {
+  PieceRefs refs;
+  refs.reserve(pieces.size());
+  for (const NormalizedTuple& p : pieces) refs.push_back(&p);
+  return refs;
+}
+
+// Orders pieces by class: residues, then data. Pieces of one period are
+// equivalent under this order exactly when SameClassAs holds.
+bool ClassLess(const NormalizedTuple* a, const NormalizedTuple* b) {
+  if (a->residues() != b->residues()) return a->residues() < b->residues();
+  return a->data() < b->data();
+}
+
+// Aligns every piece of `pieces` to `target`, in order, into `out`. Pieces
+// already at `target` are referenced in place; the aligned copies of the
+// others are kept in `storage` (a deque, so earlier addresses survive).
+[[nodiscard]] Status AlignRefs(const PieceRefs& pieces, int64_t target,
+                               const NormalizeLimits& limits,
+                               std::deque<NormalizedTuple>* storage,
+                               PieceRefs* out) {
+  for (const NormalizedTuple* p : pieces) {
+    if (p->common_period() == target) {
+      out->push_back(p);
+      continue;
+    }
     LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> aligned,
-                           p.AlignTo(target, limits));
-    out->insert(out->end(), aligned.begin(), aligned.end());
+                           p->AlignTo(target, limits));
+    for (NormalizedTuple& piece : aligned) {
+      storage->push_back(std::move(piece));
+      out->push_back(&storage->back());
+    }
   }
   return OkStatus();
 }
 
-[[nodiscard]] StatusOr<int64_t> CommonPeriodOf(const std::vector<NormalizedTuple>& a,
-                                 const std::vector<NormalizedTuple>& b,
-                                 const NormalizeLimits& limits) {
+[[nodiscard]] StatusOr<int64_t> CommonPeriodOf(const PieceRefs& a,
+                                               const PieceRefs& b,
+                                               const NormalizeLimits& limits) {
   LRPDB_FAILPOINT("normalize.common_period");
   int64_t period = 1;
-  for (const auto* v : {&a, &b}) {
-    for (const NormalizedTuple& p : *v) {
-      period = Lcm(period, p.common_period());
+  for (const PieceRefs* v : {&a, &b}) {
+    for (const NormalizedTuple* p : *v) {
+      period = Lcm(period, p->common_period());
       if (period > limits.max_period) {
         return ResourceExhaustedError("common period exceeds limit");
       }
@@ -312,52 +329,69 @@ struct ClassKey {
   return period;
 }
 
+// union(a) \ union(b): every piece of `a`, in order, minus the same-class
+// pieces of `b`, in their order. With `first_only`, stops at the first
+// piece of `a` that leaves a remainder -- all a containment test needs.
+[[nodiscard]] StatusOr<std::vector<NormalizedTuple>> SubtractRefs(
+    const PieceRefs& a, const PieceRefs& b, const NormalizeLimits& limits,
+    bool first_only) {
+  if (a.empty()) return std::vector<NormalizedTuple>{};
+  LRPDB_ASSIGN_OR_RETURN(int64_t period, CommonPeriodOf(a, b, limits));
+  std::deque<NormalizedTuple> storage;
+  PieceRefs a_aligned;
+  PieceRefs b_aligned;
+  LRPDB_RETURN_IF_ERROR(AlignRefs(a, period, limits, &storage, &a_aligned));
+  LRPDB_RETURN_IF_ERROR(AlignRefs(b, period, limits, &storage, &b_aligned));
+  // Grouped by class; stable, so each class keeps b's order.
+  std::stable_sort(b_aligned.begin(), b_aligned.end(), ClassLess);
+  std::vector<NormalizedTuple> result;
+  for (const NormalizedTuple* piece : a_aligned) {
+    auto [lo, hi] =
+        std::equal_range(b_aligned.begin(), b_aligned.end(), piece, ClassLess);
+    if (lo == hi) {
+      result.push_back(*piece);
+    } else {
+      std::vector<Dbm> remainder{piece->quotient()};
+      for (auto it = lo; it != hi; ++it) {
+        std::vector<Dbm> next;
+        for (const Dbm& r : remainder) {
+          std::vector<Dbm> sub = r.Subtract((*it)->quotient());
+          next.insert(next.end(), sub.begin(), sub.end());
+        }
+        remainder = std::move(next);
+        if (remainder.empty()) break;
+      }
+      for (Dbm& r : remainder) {
+        result.emplace_back(period, piece->residues(), piece->data(),
+                            std::move(r));
+      }
+    }
+    if (first_only && !result.empty()) break;
+  }
+  return result;
+}
+
 }  // namespace
 
 [[nodiscard]] StatusOr<std::vector<NormalizedTuple>> SubtractPieces(
     const std::vector<NormalizedTuple>& a,
     const std::vector<NormalizedTuple>& b, const NormalizeLimits& limits) {
-  if (a.empty()) return std::vector<NormalizedTuple>{};
-  LRPDB_ASSIGN_OR_RETURN(int64_t period, CommonPeriodOf(a, b, limits));
-  std::vector<NormalizedTuple> a_aligned;
-  std::vector<NormalizedTuple> b_aligned;
-  LRPDB_RETURN_IF_ERROR(AlignAll(a, period, limits, &a_aligned));
-  LRPDB_RETURN_IF_ERROR(AlignAll(b, period, limits, &b_aligned));
-
-  std::map<ClassKey, std::vector<const NormalizedTuple*>> b_by_class;
-  for (const NormalizedTuple& p : b_aligned) {
-    b_by_class[{p.residues(), p.data()}].push_back(&p);
-  }
-  std::vector<NormalizedTuple> result;
-  for (const NormalizedTuple& piece : a_aligned) {
-    auto it = b_by_class.find({piece.residues(), piece.data()});
-    if (it == b_by_class.end()) {
-      result.push_back(piece);
-      continue;
-    }
-    std::vector<Dbm> remainder{piece.quotient()};
-    for (const NormalizedTuple* bp : it->second) {
-      std::vector<Dbm> next;
-      for (const Dbm& r : remainder) {
-        std::vector<Dbm> sub = r.Subtract(bp->quotient());
-        next.insert(next.end(), sub.begin(), sub.end());
-      }
-      remainder = std::move(next);
-      if (remainder.empty()) break;
-    }
-    for (Dbm& r : remainder) {
-      result.emplace_back(period, piece.residues(), piece.data(),
-                          std::move(r));
-    }
-  }
-  return result;
+  return SubtractRefs(RefsOf(a), RefsOf(b), limits, /*first_only=*/false);
 }
 
-[[nodiscard]] StatusOr<bool> PiecesContainedIn(const std::vector<NormalizedTuple>& a,
-                                 const std::vector<NormalizedTuple>& b,
-                                 const NormalizeLimits& limits) {
-  LRPDB_ASSIGN_OR_RETURN(std::vector<NormalizedTuple> diff,
-                         SubtractPieces(a, b, limits));
+[[nodiscard]] StatusOr<bool> PiecesContainedIn(
+    const std::vector<NormalizedTuple>& a,
+    const std::vector<NormalizedTuple>& b, const NormalizeLimits& limits) {
+  return PiecesContainedIn(a, RefsOf(b), limits);
+}
+
+[[nodiscard]] StatusOr<bool> PiecesContainedIn(
+    const std::vector<NormalizedTuple>& a,
+    const std::vector<const NormalizedTuple*>& b,
+    const NormalizeLimits& limits) {
+  LRPDB_ASSIGN_OR_RETURN(
+      std::vector<NormalizedTuple> diff,
+      SubtractRefs(RefsOf(a), b, limits, /*first_only=*/true));
   return diff.empty();
 }
 

@@ -110,10 +110,18 @@ class NormalizedTuple {
     const std::vector<NormalizedTuple>& b,
     const NormalizeLimits& limits = NormalizeLimits());
 
-// True iff union(a) is a subset of union(b), decided exactly.
+// True iff union(a) is a subset of union(b), decided exactly. Stops at the
+// first piece of `a` left uncovered.
 [[nodiscard]] StatusOr<bool> PiecesContainedIn(
     const std::vector<NormalizedTuple>& a,
     const std::vector<NormalizedTuple>& b,
+    const NormalizeLimits& limits = NormalizeLimits());
+
+// The same over pieces held elsewhere (a store's residue-piece cache):
+// pieces already at the common period are read in place, not copied.
+[[nodiscard]] StatusOr<bool> PiecesContainedIn(
+    const std::vector<NormalizedTuple>& a,
+    const std::vector<const NormalizedTuple*>& b,
     const NormalizeLimits& limits = NormalizeLimits());
 
 // Convenience: exact emptiness of a generalized tuple's ground set.

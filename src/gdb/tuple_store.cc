@@ -22,6 +22,7 @@ void MirrorInsertStats(int64_t StoreStats::*field, int64_t amount) {
     obs::Counter* subsumption_candidates;
     obs::Counter* inserts;
     obs::Counter* subsumed;
+    obs::Counter* subsumed_single;
     obs::Counter* empty_dropped;
   };
   static Handles handles = [] {
@@ -31,6 +32,7 @@ void MirrorInsertStats(int64_t StoreStats::*field, int64_t amount) {
                    r.GetCounter("store.subsumption_candidates"),
                    r.GetCounter("store.inserts"),
                    r.GetCounter("store.subsumed"),
+                   r.GetCounter("store.subsumed_single"),
                    r.GetCounter("store.empty_dropped")};
   }();
   if (field == &StoreStats::signature_probes) {
@@ -43,6 +45,8 @@ void MirrorInsertStats(int64_t StoreStats::*field, int64_t amount) {
     handles.inserts->Add(amount);
   } else if (field == &StoreStats::subsumed) {
     handles.subsumed->Add(amount);
+  } else if (field == &StoreStats::subsumed_single) {
+    handles.subsumed_single->Add(amount);
   } else if (field == &StoreStats::empty_dropped) {
     handles.empty_dropped->Add(amount);
   }
@@ -57,7 +61,8 @@ void MirrorInsertStats(int64_t StoreStats::*field, int64_t amount) {
 TupleStore::TupleStore(RelationSchema schema)
     : schema_(schema),
       data_index_(schema.data_arity),
-      data_columns_(schema.data_arity) {}
+      data_columns_(schema.data_arity),
+      lrp_columns_(schema.temporal_arity) {}
 
 TupleStore::TupleStore(TupleStore&& other) noexcept
     : schema_(std::move(other.schema_)),
@@ -65,6 +70,7 @@ TupleStore::TupleStore(TupleStore&& other) noexcept
       signature_index_(std::move(other.signature_index_)),
       data_index_(std::move(other.data_index_)),
       data_columns_(std::move(other.data_columns_)),
+      lrp_columns_(std::move(other.lrp_columns_)),
       delta_lo_(other.delta_lo_),
       delta_hi_(other.delta_hi_),
       index_enabled_(other.index_enabled_),
@@ -85,6 +91,7 @@ TupleStore& TupleStore::operator=(TupleStore&& other) noexcept {
   signature_index_ = std::move(other.signature_index_);
   data_index_ = std::move(other.data_index_);
   data_columns_ = std::move(other.data_columns_);
+  lrp_columns_ = std::move(other.lrp_columns_);
   delta_lo_ = other.delta_lo_;
   delta_hi_ = other.delta_hi_;
   index_enabled_ = other.index_enabled_;
@@ -174,38 +181,84 @@ void TupleStore::CountProbe(StoreStats* round_stats, int64_t scanned,
     bump(&StoreStats::empty_dropped, 1);
     return InsertOutcome{};
   }
-  // Same-signature entries: one bucket probe when indexed, a linear scan on
-  // the brute-force reference path. Both yield the same id set.
+  // Same-signature entries: one bucket probe when indexed (whose result
+  // Append reuses), a linear scan on the brute-force reference path. Both
+  // yield the same ascending id set.
   bump(&StoreStats::signature_probes, 1);
-  std::vector<EntryId> bucket_entries;
+  SignatureIndex::iterator signature = signature_index_.end();
+  const std::vector<EntryId>* bucket = nullptr;
+  std::vector<EntryId> scanned;
   if (index_enabled_) {
-    auto it = signature_index_.find(tuple.free_extension());
-    if (it != signature_index_.end()) bucket_entries = it->second.entries;
+    signature = FindSignature(tuple);
+    if (signature != signature_index_.end()) {
+      bucket = &signature->second.entries;
+    }
   } else {
     for (size_t i = 0; i < entries_.size(); ++i) {
       if (!is_live(static_cast<EntryId>(i))) continue;
       if (entries_[i].tuple.data() == tuple.data() &&
           entries_[i].tuple.lrps() == tuple.lrps()) {
-        bucket_entries.push_back(static_cast<EntryId>(i));
+        scanned.push_back(static_cast<EntryId>(i));
       }
     }
+    bucket = &scanned;
   }
-  if (!bucket_entries.empty()) {
-    std::vector<NormalizedTuple> existing;
-    for (EntryId id : bucket_entries) {
-      LRPDB_ASSIGN_OR_RETURN(const std::vector<NormalizedTuple>* cached,
-                             pieces(id, limits));
-      existing.insert(existing.end(), cached->begin(), cached->end());
-    }
+  if (bucket != nullptr && !bucket->empty()) {
     bump(&StoreStats::subsumption_checks, 1);
     bump(&StoreStats::subsumption_candidates,
-         static_cast<int64_t>(bucket_entries.size()));
-    LRPDB_ASSIGN_OR_RETURN(bool contained,
-                           PiecesContainedIn(candidate, existing, limits));
+         static_cast<int64_t>(bucket->size()));
+    // The bucket's cached pieces, by address, with their owning entries.
+    // Thread-local so the buffers' capacity outlives the call.
+    thread_local std::vector<const NormalizedTuple*> existing;
+    thread_local std::vector<EntryId> owner;
+    existing.clear();
+    owner.clear();
+    for (EntryId id : *bucket) {
+      LRPDB_ASSIGN_OR_RETURN(const std::vector<NormalizedTuple>* cached,
+                             pieces(id, limits));
+      for (const NormalizedTuple& piece : *cached) {
+        existing.push_back(&piece);
+        owner.push_back(id);
+      }
+    }
+    // Single-piece check: a candidate piece implied by one same-class
+    // cached piece lies inside that piece's entry. Same-signature pieces
+    // share the candidate's period, and pieces of distinct classes are
+    // disjoint, so a piece that no same-class piece implies is outside the
+    // union too unless two or more same-class pieces could cover it
+    // together: only then does the union test run.
+    std::vector<EntryId> absorbers;
+    bool needs_union = false;
+    for (const NormalizedTuple& piece : candidate) {
+      int same_class = 0;
+      size_t k = 0;
+      for (; k < existing.size(); ++k) {
+        if (!existing[k]->SameClassAs(piece)) continue;
+        ++same_class;
+        if (piece.quotient().Implies(existing[k]->quotient())) break;
+      }
+      if (k == existing.size()) {
+        needs_union = same_class > 1;
+        absorbers.clear();
+        break;
+      }
+      absorbers.push_back(owner[k]);
+    }
+    bool contained = !absorbers.empty();
+    if (contained) {
+      bump(&StoreStats::subsumed_single, 1);
+      std::sort(absorbers.begin(), absorbers.end());
+      absorbers.erase(std::unique(absorbers.begin(), absorbers.end()),
+                      absorbers.end());
+    } else if (needs_union) {
+      LRPDB_ASSIGN_OR_RETURN(contained,
+                             PiecesContainedIn(candidate, existing, limits));
+      if (contained) absorbers = *bucket;
+    }
     if (contained) {
       bump(&StoreStats::subsumed, 1);
       InsertOutcome outcome;
-      outcome.absorbers = std::move(bucket_entries);
+      outcome.absorbers = std::move(absorbers);
       return outcome;
     }
   }
@@ -221,7 +274,9 @@ void TupleStore::CountProbe(StoreStats* round_stats, int64_t scanned,
   InsertOutcome outcome;
   outcome.inserted = true;
   outcome.id = static_cast<EntryId>(entries_.size());
-  outcome.new_signature = Append(std::move(tuple), std::move(candidate), true);
+  if (!index_enabled_) signature = FindSignature(tuple);
+  outcome.new_signature =
+      Append(std::move(tuple), std::move(candidate), true, signature);
   bump(&StoreStats::inserts, 1);
   return outcome;
 }
@@ -230,7 +285,8 @@ bool TupleStore::InsertUnlessEmpty(GeneralizedTuple tuple) {
   LRPDB_CHECK_EQ(tuple.temporal_arity(), schema_.temporal_arity);
   LRPDB_CHECK_EQ(tuple.data_arity(), schema_.data_arity);
   if (!tuple.ConstraintSatisfiable()) return false;
-  Append(std::move(tuple), {}, false);
+  SignatureIndex::iterator signature = FindSignature(tuple);
+  Append(std::move(tuple), {}, false, signature);
   BumpStat(&StoreStats::inserts, 1, nullptr);
   return true;
 }
@@ -243,7 +299,8 @@ bool TupleStore::InsertUnlessEmpty(GeneralizedTuple tuple) {
   }
   // No filtering and no stats: the snapshot records what Append() stored,
   // so replaying it through Append() reproduces every index exactly.
-  Append(std::move(tuple), {}, false);
+  SignatureIndex::iterator signature = FindSignature(tuple);
+  Append(std::move(tuple), {}, false, signature);
   return OkStatus();
 }
 
@@ -261,7 +318,8 @@ bool TupleStore::InsertUnlessEmpty(GeneralizedTuple tuple) {
 }
 
 bool TupleStore::Append(GeneralizedTuple tuple,
-                        std::vector<NormalizedTuple> pieces, bool normalized) {
+                        std::vector<NormalizedTuple> pieces, bool normalized,
+                        SignatureIndex::iterator bucket) {
   // Same estimate Insert charges to the ExecContext byte budget: the entry
   // plus its normalized pieces.
   approx_bytes_.fetch_add(
@@ -269,16 +327,22 @@ bool TupleStore::Append(GeneralizedTuple tuple,
                                 (schema_.temporal_arity + 2) * 8,
       std::memory_order_relaxed);
   EntryId id = static_cast<EntryId>(entries_.size());
-  auto [it, created] = signature_index_.try_emplace(tuple.free_extension());
+  const bool created = bucket == signature_index_.end();
   if (created) {
-    it->second.id = static_cast<SignatureId>(signature_index_.size() - 1);
+    SignatureBucket fresh;
+    fresh.id = static_cast<SignatureId>(signature_index_.size());
+    bucket = signature_index_.emplace(tuple.free_extension(), std::move(fresh))
+                 .first;
   }
-  it->second.entries.push_back(id);
+  bucket->second.entries.push_back(id);
   for (int c = 0; c < schema_.data_arity; ++c) {
     data_index_[c][tuple.data()[c]].push_back(id);
     data_columns_[c].push_back(tuple.data()[c]);
   }
-  entries_.push_back(Entry{std::move(tuple), it->second.id});
+  for (int c = 0; c < schema_.temporal_arity; ++c) {
+    lrp_columns_[c].push_back(tuple.lrp(c));
+  }
+  entries_.push_back(Entry{std::move(tuple), bucket->second.id});
   live_.push_back(kLive);
   {
     std::lock_guard<std::mutex> lock(pieces_mu_);
@@ -296,7 +360,7 @@ void TupleStore::Tombstone(EntryId id) {
   // Prune the signature bucket. The bucket itself is kept even when it
   // empties: SignatureId allocation is ordinal in signature_index_, so
   // erasing the key would shift ids of signatures interned later.
-  auto bucket = signature_index_.find(tuple.free_extension());
+  auto bucket = signature_index_.find(tuple.free_extension_view());
   if (bucket != signature_index_.end()) {
     auto& ids = bucket->second.entries;
     ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
@@ -332,6 +396,9 @@ size_t TupleStore::CompactTombstones() {
     // addressable while dropping the lrps/data/DBM payload.
     entry.tuple = GeneralizedTuple::Unconstrained({}, {});
     for (int c = 0; c < schema_.data_arity; ++c) data_columns_[c][id] = 0;
+    for (int c = 0; c < schema_.temporal_arity; ++c) {
+      lrp_columns_[c][id] = Lrp();
+    }
     approx_bytes_.fetch_add(entry.tuple.ApproxBytes() - released,
                             std::memory_order_relaxed);
     live_[id] = kCompacted;
@@ -447,6 +514,26 @@ size_t TupleStore::CompactTombstones() {
       if (!is_live(static_cast<EntryId>(id))) continue;
       if (data_columns_[c][id] != entries_[id].tuple.data()[c]) {
         return InternalError("data column mirror value mismatch");
+      }
+    }
+  }
+  if (lrp_columns_.size() != static_cast<size_t>(schema_.temporal_arity)) {
+    return InternalError("lrp column mirror arity mismatch");
+  }
+  for (int c = 0; c < schema_.temporal_arity; ++c) {
+    if (lrp_columns_[c].size() != entries_.size()) {
+      return InternalError("lrp column mirror length mismatch");
+    }
+    for (size_t id = 0; id < entries_.size(); ++id) {
+      // Live slots mirror the entry; compacted slots hold the reset value
+      // (a tombstoned slot keeps its lrp until compaction releases it).
+      const Lrp& mirrored = lrp_columns_[c][id];
+      if (is_live(static_cast<EntryId>(id))) {
+        if (mirrored != entries_[id].tuple.lrp(c)) {
+          return InternalError("lrp column mirror value mismatch");
+        }
+      } else if (live_[id] == kCompacted && mirrored != Lrp()) {
+        return InternalError("compacted lrp column mirror slot not reset");
       }
     }
   }

@@ -65,6 +65,8 @@ struct StoreStats {
   int64_t subsumption_candidates = 0; // Same-signature entries compared.
   int64_t inserts = 0;                // Entries appended.
   int64_t subsumed = 0;               // Candidates dropped as contained.
+  int64_t subsumed_single = 0;        // ...of which each piece sat inside
+                                      // one cached piece (no union test).
   int64_t empty_dropped = 0;          // Candidates with empty ground sets.
   // Join probe path.
   int64_t index_probes = 0;           // Candidate probes issued.
@@ -77,6 +79,7 @@ struct StoreStats {
     subsumption_candidates += other.subsumption_candidates;
     inserts += other.inserts;
     subsumed += other.subsumed;
+    subsumed_single += other.subsumed_single;
     empty_dropped += other.empty_dropped;
     index_probes += other.index_probes;
     tuples_scanned += other.tuples_scanned;
@@ -92,10 +95,14 @@ struct InsertOutcome {
   // Entry id the tuple was appended at; meaningful only when `inserted`.
   EntryId id = 0;
   // When the candidate was dropped as contained: the same-signature entries
-  // whose union subsumed it. Why-provenance attaches the dropped
-  // candidate's origin to these so derivations stay resolvable across
-  // subsumption. Empty when inserted or when the candidate normalized to
-  // the empty ground set.
+  // that absorbed it, ascending and distinct. When every residue piece of
+  // the candidate lies inside a single cached piece, these are exactly the
+  // entries owning those pieces (one entry for a single-piece candidate,
+  // possibly several for a multi-piece one); when only the union of
+  // several pieces covers it, the whole signature bucket. Why-provenance
+  // attaches the dropped candidate's origin to these so derivations stay
+  // resolvable across subsumption. Empty when inserted or when the
+  // candidate normalized to the empty ground set.
   std::vector<EntryId> absorbers;
 };
 
@@ -161,6 +168,10 @@ class TupleStore {
   const std::vector<DataValue>& data_column(int c) const {
     return data_columns_[c];
   }
+  // Columnar mirror of temporal column `c`'s lrp, maintained like the data
+  // mirrors: the batch kernel's residue mask and column shift read these
+  // instead of loading each row's tuple.
+  const std::vector<Lrp>& lrp_column(int c) const { return lrp_columns_[c]; }
 
   // The posting list for `value` in data column `column` (ascending entry
   // ids), or nullptr when no entry carries that value. Postings hold live
@@ -193,10 +204,14 @@ class TupleStore {
   // Exact insert: drops the tuple if its ground set is empty or contained
   // in the union of the stored tuples with the same signature (free
   // extension) -- the comparison constraint safety (paper, Section 4.3)
-  // prescribes. With indexing enabled the same-signature entries come from
-  // one bucket probe; the linear reference path (set_index_enabled(false))
-  // finds them by scanning, for differential testing. `round_stats`, when
-  // non-null, receives the same counter increments as the lifetime stats.
+  // prescribes. Containment is first tried piece by piece: a candidate
+  // whose every residue piece is implied by one same-class cached piece is
+  // subsumed without a union test; only the rest go through
+  // PiecesContainedIn over the bucket's pieces. With indexing enabled the
+  // same-signature entries come from one bucket probe; the linear
+  // reference path (set_index_enabled(false)) finds them by scanning, for
+  // differential testing. `round_stats`, when non-null, receives the same
+  // counter increments as the lifetime stats.
   [[nodiscard]] StatusOr<InsertOutcome> Insert(GeneralizedTuple tuple,
                                  const NormalizeLimits& limits =
                                      NormalizeLimits(),
@@ -253,7 +268,8 @@ class TupleStore {
   // The live entries interned under free extension `fe` (its signature
   // bucket), ascending; empty when none. A copy, so callers may tombstone
   // while iterating it.
-  std::vector<EntryId> LiveEntriesWithSignature(const FreeExtension& fe) const {
+  std::vector<EntryId> LiveEntriesWithSignature(
+      const FreeExtensionView& fe) const {
     auto bucket = signature_index_.find(fe);
     if (bucket == signature_index_.end()) return {};
     return bucket->second.entries;
@@ -310,10 +326,22 @@ class TupleStore {
     std::vector<EntryId> entries;
   };
 
-  // Appends `tuple` (with optional pre-normalized pieces) and indexes it.
-  // Returns the outcome's new_signature flag.
+  using SignatureIndex = std::unordered_map<FreeExtension, SignatureBucket,
+                                            FreeExtensionHash, FreeExtensionEq>;
+
+  // The signature bucket of `tuple`, or signature_index_.end(): one probe
+  // through a view key, no vector copies.
+  SignatureIndex::iterator FindSignature(const GeneralizedTuple& tuple) {
+    return signature_index_.find(tuple.free_extension_view());
+  }
+
+  // Appends `tuple` (with optional pre-normalized pieces) and indexes it
+  // under `bucket`, its FindSignature result; a key copy is made only when
+  // that is end() and the signature is interned. Returns the outcome's
+  // new_signature flag.
   bool Append(GeneralizedTuple tuple, std::vector<NormalizedTuple> pieces,
-              bool normalized) LRPDB_LOCKS_EXCLUDED(pieces_mu_);
+              bool normalized, SignatureIndex::iterator bucket)
+      LRPDB_LOCKS_EXCLUDED(pieces_mu_);
 
   // Folds one insert-path counter into the lifetime stats (under stats_mu_),
   // the caller's round stats (caller-owned, unlocked), and the registry.
@@ -322,13 +350,14 @@ class TupleStore {
 
   RelationSchema schema_;
   std::vector<Entry> entries_;
-  std::unordered_map<FreeExtension, SignatureBucket, FreeExtensionHash>
-      signature_index_;
+  SignatureIndex signature_index_;
   // data_index_[column][value] = ascending entry ids with that value.
   std::vector<std::unordered_map<DataValue, std::vector<EntryId>>> data_index_;
   // data_columns_[column][id] = entry id's value in that column: the
   // structure-of-arrays mirror batch scans read.
   std::vector<std::vector<DataValue>> data_columns_;
+  // lrp_columns_[column][id] = entry id's lrp in that temporal column.
+  std::vector<std::vector<Lrp>> lrp_columns_;
   size_t delta_lo_ = 0;
   size_t delta_hi_ = 0;
   bool index_enabled_ = true;

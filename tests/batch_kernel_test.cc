@@ -14,7 +14,6 @@
 // generalized model and the ground model alike.
 #include <algorithm>
 #include <map>
-#include <numeric>
 #include <optional>
 #include <random>
 #include <set>
@@ -26,6 +25,7 @@
 #include "src/core/evaluator.h"
 #include "src/core/ground_evaluator.h"
 #include "src/parser/parser.h"
+#include "tests/random_program.h"
 
 namespace lrpdb {
 namespace {
@@ -139,118 +139,6 @@ std::map<std::string, std::vector<std::string>> ExpectMatchesGroundOracle(
   return model;
 }
 
-// A generated program plus what the oracle comparison needs to know.
-struct RandomProgram {
-  std::string text;
-  int64_t period = 0;
-  // Upper bound on how far below an IDB fact's time its shortest
-  // derivation reaches (see Generate).
-  int64_t reach = 0;
-};
-
-// How far below its head a shortest derivation through the recursive rule
-// `x(t + s) :- x(t), ...` can reach when every condition is P-periodic: the
-// chain has fewer than P / gcd(s, P) links, since dropping a full cycle of
-// links leaves a valid chain whose base lies in the same residue class.
-int64_t ChainReach(int64_t step, int64_t period) {
-  return period / std::gcd(step, period) * step;
-}
-
-// Random programs over a periodic EDB with data columns, designed to hit
-// every compiled-plan shape: constant-pinned columns (compile-time
-// posting resolution, possibly absent values), data variables shared
-// across atoms (per-binding bound probes), repeated data variables within
-// one atom (intra equalities), a temporal variable repeated over columns a
-// tuple constraint keeps apart (the alias check), clause constraint atoms,
-// multi-atom joins, recursion (delta pivots and shard splits), and
-// stratified negation. Every EDB relation is P-periodic in both
-// directions, so the model is too, and every head offset and body lookahead
-// is at most 6 (below kAbove).
-RandomProgram Generate(std::mt19937& rng) {
-  std::uniform_int_distribution<int> small(0, 6);
-  std::uniform_int_distribution<int> step(1, 12);
-  const int period = 24 + 12 * static_cast<int>(rng() % 3);
-  const std::string p_n = std::to_string(period) + "n+";
-  const char* values[] = {"\"a\"", "\"b\"", "\"c\""};
-  RandomProgram out;
-  out.period = period;
-  std::string& s = out.text;
-  s = R"(
-    .decl e(time, data)
-    .decl p(time, data)
-    .decl q(time, data)
-  )";
-  const int num_facts = 2 + static_cast<int>(rng() % 3);
-  for (int i = 0; i < num_facts; ++i) {
-    s += ".fact e(" + p_n + std::to_string(small(rng)) + ", " +
-         values[rng() % 3] + ").\n";
-  }
-  const int p_step = step(rng);
-  s += "p(t + " + std::to_string(small(rng)) + ", N) :- e(t, N).\n";
-  s += "p(t + " + std::to_string(p_step) + ", N) :- p(t, N).\n";
-  const int64_t p_reach = 6 + ChainReach(p_step, period);
-  // q's non-recursive rules read p at most 6 below their head.
-  int64_t q_reach = 6 + p_reach;
-  // Join with a shared data variable: the second atom probes N's posting.
-  s += "q(t + " + std::to_string(small(rng)) + ", N) :- p(t, N), e(t + " +
-       std::to_string(small(rng)) + ", N).\n";
-  if (rng() % 2 == 0) {
-    // Constant-pinned atom plus an unconstrained one.
-    s += "q(t + " + std::to_string(small(rng)) + ", M) :- p(t, " +
-         values[rng() % 3] + "), e(t + " + std::to_string(small(rng)) +
-         ", M).\n";
-  }
-  if (rng() % 2 == 0) {
-    // Three-way join, two recursive atoms. The recursive atoms come first:
-    // whichever of them is the semi-naive pivot, the ground oracle's
-    // nested loop then starts from one full relation and one delta.
-    const int q_step = step(rng);
-    s += "q(t + " + std::to_string(q_step) + ", N) :- q(t, N), p(t + " +
-         std::to_string(small(rng)) + ", N), e(t, N).\n";
-    q_reach += ChainReach(q_step, period);
-  }
-  if (rng() % 2 == 0) {
-    // Repeated data variable within one atom (intra-column equality).
-    s = ".decl d2(time, data, data)\n" + s;
-    s += ".fact d2(" + p_n + std::to_string(small(rng)) +
-         ", \"a\", \"a\").\n";
-    s += ".fact d2(" + p_n + std::to_string(small(rng)) +
-         ", \"a\", \"b\").\n";
-    s += "q(t, N) :- d2(t, N, N).\n";
-  }
-  if (rng() % 2 == 0) {
-    // Clause constraint atoms relating two body variables: one tied to the
-    // head variable, and one between variables the head never sees (in
-    // the ground kernel only the per-atom bound checks can reject those).
-    s = ".decl soon(time, data)\n.decl close(data)\n.decl near(time, data)\n" +
-        s;
-    s += "soon(t, N) :- p(t, N), e(u, N), t < u, u <= t + " +
-         std::to_string(1 + small(rng)) + ".\n";
-    s += "close(N) :- e(u, N), e(v, N), u < v, v <= u + " +
-         std::to_string(1 + small(rng)) + ".\n";
-    s += "near(t, N) :- p(t, N), close(N).\n";
-  }
-  if (rng() % 2 == 0) {
-    // One temporal variable over both columns of an interval relation:
-    // the first fact's columns share a residue but sit a period apart, so
-    // only the second fact has diagonal points.
-    s = ".decl iv(time, time)\n.decl diag(time)\n" + s;
-    const std::string x = p_n + std::to_string(small(rng));
-    const std::string y = p_n + std::to_string(7 + small(rng));
-    s += ".fact iv(" + x + ", " + x + ") with T2 = T1 + " +
-         std::to_string(period) + ".\n";
-    s += ".fact iv(" + y + ", " + y + ") with T2 = T1.\n";
-    s += "diag(t) :- iv(t, t).\n";
-  }
-  if (rng() % 3 == 0) {
-    // Stratified negation: the negated atom reads q's complement.
-    s = ".decl r(time, data)\n" + s;
-    s += "r(t, N) :- p(t, N), !q(t, N).\n";
-  }
-  out.reach = q_reach + 16;
-  return out;
-}
-
 class BatchKernelRandomTest : public ::testing::TestWithParam<int> {};
 
 // 25 seeds x 8 programs = 200 random programs, each evaluated at 1, 2, and
@@ -260,7 +148,7 @@ class BatchKernelRandomTest : public ::testing::TestWithParam<int> {};
 TEST_P(BatchKernelRandomTest, BitIdenticalToLegacyAcrossThreadCounts) {
   std::mt19937 rng(static_cast<unsigned>(GetParam()) * 9176 + 11);
   for (int iter = 0; iter < 8; ++iter) {
-    RandomProgram program = Generate(rng);
+    RandomProgram program = GenerateRandomProgram(rng);
     ExpectMatchesGroundOracle(program.text, 0, 2 * program.period,
                               program.reach);
   }
@@ -413,6 +301,39 @@ TEST(BatchKernelTest, AliasedTemporalColumnsHonorTheTupleConstraint) {
   )",
                                           0, 48, 16);
   EXPECT_EQ(model["diag"], (std::vector<std::string>{"31", "7"}));
+}
+
+TEST(BatchKernelTest, ResidueMaskKeepsCompatibleUnequalPeriods) {
+  // The residue mask compares a row's lrp with the lrp an earlier atom bound
+  // for the same variable. 4n+1 and 6n+3 are both odd, so they meet (at
+  // 12n+9); 6n+2 is even and never meets 4n+1. Through b(t + 2), 6n+3 puts t
+  // at 6n+1, meeting 4n+1 at 12n+1, and 6n+2 puts t at 6n, even again.
+  // Reading b first swaps which side the mask tests; c's 4n+1 and 4n+3
+  // cover the equal-period compare.
+  Model model = ExpectMatchesGroundOracle(R"(
+    .decl a(time)
+    .decl b(time)
+    .decl c(time)
+    .decl j(time)
+    .decl k(time)
+    .decl l(time)
+    .decl m(time)
+    .fact a(4n+1).
+    .fact b(6n+3).
+    .fact b(6n+2).
+    .fact c(4n+1).
+    .fact c(4n+3).
+    j(t) :- a(t), b(t).
+    k(t) :- a(t), b(t + 2).
+    l(t) :- b(t), a(t).
+    m(t) :- a(t), c(t).
+  )",
+                                          0, 24, 16);
+  EXPECT_EQ(model["j"], (std::vector<std::string>{"21", "9"}));
+  EXPECT_EQ(model["k"], (std::vector<std::string>{"1", "13"}));
+  EXPECT_EQ(model["l"], (std::vector<std::string>{"21", "9"}));
+  EXPECT_EQ(model["m"], (std::vector<std::string>{"1", "13", "17", "21", "5",
+                                                  "9"}));
 }
 
 TEST(BatchKernelTest, ClauseConstraintsBoundTheJoin) {

@@ -1,7 +1,7 @@
 // Why-provenance suite (DESIGN.md §10).
 //
 // The load-bearing check is the replay differential: for randomized
-// programs (same shapes as batch_kernel_test.cc), every recorded origin is
+// programs (the shared generator, random_program.h), every recorded origin is
 // re-executed — the origin's clause, stripped of its negated atoms, is
 // compiled and applied over singleton relations holding exactly the
 // recorded parent tuples — and at least one replayed candidate must be
@@ -32,6 +32,7 @@
 #include "src/gdb/database.h"
 #include "src/gdb/generalized_relation.h"
 #include "src/parser/parser.h"
+#include "tests/random_program.h"
 
 namespace lrpdb {
 namespace {
@@ -231,52 +232,6 @@ void ExpectEquivalentLogsAndReplay(const std::string& text) {
   ExpectCompleteAndReplayable(*reference);
 }
 
-// Same program shapes as batch_kernel_test.cc: periodic EDB, recursion,
-// shared-variable joins, constant pins, intra-atom equalities, stratified
-// negation.
-std::string Generate(std::mt19937& rng) {
-  std::uniform_int_distribution<int> small(0, 6);
-  std::uniform_int_distribution<int> step(1, 12);
-  const int period = 24 + 12 * static_cast<int>(rng() % 3);
-  const char* values[] = {"\"a\"", "\"b\"", "\"c\""};
-  std::string s = R"(
-    .decl e(time, data)
-    .decl p(time, data)
-    .decl q(time, data)
-  )";
-  const int num_facts = 2 + static_cast<int>(rng() % 3);
-  for (int i = 0; i < num_facts; ++i) {
-    s += ".fact e(" + std::to_string(period) + "n+" +
-         std::to_string(small(rng)) + ", " + values[rng() % 3] + ").\n";
-  }
-  s += "p(t + " + std::to_string(small(rng)) + ", N) :- e(t, N).\n";
-  s += "p(t + " + std::to_string(step(rng)) + ", N) :- p(t, N).\n";
-  s += "q(t + " + std::to_string(small(rng)) + ", N) :- p(t, N), e(t + " +
-       std::to_string(small(rng)) + ", N).\n";
-  if (rng() % 2 == 0) {
-    s += "q(t + " + std::to_string(small(rng)) + ", M) :- p(t, " +
-         values[rng() % 3] + "), e(t + " + std::to_string(small(rng)) +
-         ", M).\n";
-  }
-  if (rng() % 2 == 0) {
-    s += "q(t + " + std::to_string(step(rng)) + ", N) :- e(t, N), p(t + " +
-         std::to_string(small(rng)) + ", N), q(t, N).\n";
-  }
-  if (rng() % 2 == 0) {
-    s = ".decl d2(time, data, data)\n" + s;
-    s += ".fact d2(" + std::to_string(period) + "n+" +
-         std::to_string(small(rng)) + ", \"a\", \"a\").\n";
-    s += ".fact d2(" + std::to_string(period) + "n+" +
-         std::to_string(small(rng)) + ", \"a\", \"b\").\n";
-    s += "q(t, N) :- d2(t, N, N).\n";
-  }
-  if (rng() % 3 == 0) {
-    s = ".decl r(time, data)\n" + s;
-    s += "r(t, N) :- p(t, N), !q(t, N).\n";
-  }
-  return s;
-}
-
 class ProvenanceRandomTest : public ::testing::TestWithParam<int> {};
 
 // 10 seeds x 4 programs, each: log equality across {1,2,8} threads,
@@ -286,7 +241,7 @@ TEST_P(ProvenanceRandomTest, LogsMatchAcrossEnginesAndOriginsReplay) {
   if (!kProvenanceCompiledIn) GTEST_SKIP() << "built with LRPDB_NO_PROVENANCE";
   std::mt19937 rng(static_cast<unsigned>(GetParam()) * 7351 + 29);
   for (int iter = 0; iter < 4; ++iter) {
-    ExpectEquivalentLogsAndReplay(Generate(rng));
+    ExpectEquivalentLogsAndReplay(GenerateRandomProgram(rng).text);
   }
 }
 
@@ -322,6 +277,85 @@ TEST(ProvenanceTest, AbsorbedCandidateAttachesOriginToAbsorber) {
     parent_names.push_back(run->log.RelationName(o.parents[0].relation));
   }
   EXPECT_EQ(parent_names, (std::vector<std::string>{"e", "f"}));
+  ExpectCompleteAndReplayable(*run);
+}
+
+TEST(ProvenanceTest, AbsorbedCandidateRecordsOnItsCoveringEntriesOnly) {
+  if (!kProvenanceCompiledIn) GTEST_SKIP() << "built with LRPDB_NO_PROVENANCE";
+  // Rules 0 and 1 store two overlapping same-signature entries, p#0 over
+  // [0, 96] and p#1 over [48, 192]. Rule 2's candidate, [0, 24], lies inside
+  // p#0 alone, so its origin lands on p#0 only. Rule 3's candidate,
+  // [24, 144], is covered by neither entry alone, only by their union: its
+  // origin lands on both.
+  auto run = RunWithProvenance(R"(
+    .decl a(time, data)
+    .decl b(time, data)
+    .decl c(time, data)
+    .decl d(time, data)
+    .decl p(time, data)
+    .fact a(24n, "x") with T1 >= 0, T1 <= 96.
+    .fact b(24n, "x") with T1 >= 48, T1 <= 192.
+    .fact c(24n, "x") with T1 >= 0, T1 <= 24.
+    .fact d(24n, "x") with T1 >= 24, T1 <= 144.
+    p(t, N) :- a(t, N).
+    p(t, N) :- b(t, N).
+    p(t, N) :- c(t, N).
+    p(t, N) :- d(t, N).
+  )",
+                               1);
+  ASSERT_NE(run, nullptr);
+  ASSERT_EQ(run->result.idb.at("p").size(), 2u);
+  auto rid = run->log.FindRelation("p");
+  ASSERT_TRUE(rid.has_value());
+  auto rules_of = [&](EntryId entry) {
+    std::vector<int32_t> rules;
+    for (const DerivationOrigin& o : run->log.Origins({*rid, entry})) {
+      rules.push_back(o.rule);
+    }
+    return rules;
+  };
+  EXPECT_EQ(rules_of(0), (std::vector<int32_t>{0, 2, 3}));
+  EXPECT_EQ(rules_of(1), (std::vector<int32_t>{1, 3}));
+  // No replay check: rule 3's origin derives a set neither entry contains
+  // alone, which is what the union fallback's whole-bucket attribution
+  // means.
+}
+
+TEST(ProvenanceTest, DerivationAcrossEntriesRecordsEachPieceOnItsOwner) {
+  if (!kProvenanceCompiledIn) GTEST_SKIP() << "built with LRPDB_NO_PROVENANCE";
+  // c's tuple (t1 in {4, 8}) lies inside no single stored p entry: its
+  // t1 = 4 points come from a (t1 in {0, 4}), its t1 = 8 points from b
+  // (t1 in {8, 12, 16}). The kernel emits one candidate per residue piece
+  // (period 12 on both columns, t2 in 12n or 12n+6), so rule 2 derives four
+  // single-piece candidates, and each is absorbed by the one entry that
+  // holds its piece: every origin re-derives a subset of the entry it is
+  // recorded on, and the replay check holds.
+  auto run = RunWithProvenance(R"(
+    .decl a(time, time)
+    .decl b(time, time)
+    .decl c(time, time)
+    .decl p(time, time)
+    .fact a(4n, 6n) with T1 >= 0, T1 <= 4.
+    .fact b(4n, 6n) with T1 >= 8, T1 <= 16.
+    .fact c(4n, 6n) with T1 >= 4, T1 <= 8.
+    p(t1, t2) :- a(t1, t2).
+    p(t1, t2) :- b(t1, t2).
+    p(t1, t2) :- c(t1, t2).
+  )",
+                               1);
+  ASSERT_NE(run, nullptr);
+  // a's pieces are p#0..#3 (t1 = 0, then t1 = 4), b's p#4..#9.
+  ASSERT_EQ(run->result.idb.at("p").size(), 10u);
+  auto rid = run->log.FindRelation("p");
+  ASSERT_TRUE(rid.has_value());
+  std::vector<EntryId> rule2_entries;
+  for (EntryId entry = 0; entry < 10; ++entry) {
+    for (const DerivationOrigin& o : run->log.Origins({*rid, entry})) {
+      if (o.rule == 2) rule2_entries.push_back(entry);
+    }
+  }
+  // One record per piece: p#2 and #3 (t1 = 4), #8 and #9 (t1 = 8).
+  EXPECT_EQ(rule2_entries, (std::vector<EntryId>{2, 3, 8, 9}));
   ExpectCompleteAndReplayable(*run);
 }
 
@@ -532,30 +566,28 @@ TEST(GroundProvenanceTest, RecordsACompleteResolvableLog) {
   auto result = EvaluateGround(unit->program, db, options);
   ASSERT_TRUE(result.ok()) << result.status();
   // Window EDB: e(0,a), e(2,b), e(6,a), e(8,b). Round 1 applies each
-  // stratum-0 clause once, in clause order, over everything stored so far,
-  // so rule 1 already extends rule 0's p facts; round 2 pivots on all of
-  // round 1's inserts, re-deriving some facts (recorded against the
-  // existing fact) and adding none, which ends the stratum. q(t, N) needs
-  // p(t, N) and e(t + 5, N): t + 5 = 6 (a) or 8 (b). Round 3 is stratum 1:
-  // r drops e(0,a) and e(2,b), one step before a q fact, and its negated
-  // atom records no parent.
+  // stratum-0 clause once over the facts stored when the round began, so
+  // only rule 0 fires (p is still empty). Round 2 pivots on round 1's p
+  // facts: rule 1 adds p(4,a) and p(6,b) (p(10,a) and p(12,b) fall outside
+  // the window), and rule 2 adds q(t, N) from p(t, N) and e(t + 5, N):
+  // t + 5 = 6 (a) or 8 (b). Round 3 pivots on p(4,a) and p(6,b), re-deriving
+  // p(7,a) and p(9,b) (recorded against the existing facts) and adding
+  // none, which ends the stratum. Every derivation is recorded once. Round
+  // 4 is stratum 1: r drops e(0,a) and e(2,b), one step before a q fact,
+  // and its negated atom records no parent.
   EXPECT_EQ(DumpGroundLog(*result, log, db),
             "p(1,a) <- rule 0 @ 1: e(0,a)\n"
             "p(3,b) <- rule 0 @ 1: e(2,b)\n"
             "p(7,a) <- rule 0 @ 1: e(6,a)\n"
-            "p(7,a) <- rule 1 @ 2: p(4,a)\n"
+            "p(7,a) <- rule 1 @ 3: p(4,a)\n"
             "p(9,b) <- rule 0 @ 1: e(8,b)\n"
-            "p(9,b) <- rule 1 @ 2: p(6,b)\n"
-            "p(4,a) <- rule 1 @ 1: p(1,a)\n"
+            "p(9,b) <- rule 1 @ 3: p(6,b)\n"
             "p(4,a) <- rule 1 @ 2: p(1,a)\n"
-            "p(6,b) <- rule 1 @ 1: p(3,b)\n"
             "p(6,b) <- rule 1 @ 2: p(3,b)\n"
-            "q(1,a) <- rule 2 @ 1: p(1,a) e(6,a)\n"
             "q(1,a) <- rule 2 @ 2: p(1,a) e(6,a)\n"
-            "q(3,b) <- rule 2 @ 1: p(3,b) e(8,b)\n"
             "q(3,b) <- rule 2 @ 2: p(3,b) e(8,b)\n"
-            "r(6,a) <- rule 3 @ 3: e(6,a)\n"
-            "r(8,b) <- rule 3 @ 3: e(8,b)\n");
+            "r(6,a) <- rule 3 @ 4: e(6,a)\n"
+            "r(8,b) <- rule 3 @ 4: e(8,b)\n");
   // Every recorded parent resolves against the returned window EDB / IDB.
   for (const auto& [name, store] : result->idb) {
     auto rid = log.FindRelation(name);

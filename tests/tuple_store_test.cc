@@ -6,6 +6,7 @@
 // matching never scan tuples outside the probed signature / posting bucket.
 #include <algorithm>
 #include <atomic>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,6 +53,11 @@ class TupleStoreTestPeer {
     auto it = store.data_index_[column].find(value);
     ASSERT_NE(it, store.data_index_[column].end());
     it->second.push_back(bogus);
+  }
+
+  static void SetLrpMirror(TupleStore& store, int column, EntryId id,
+                           Lrp lrp) {
+    store.lrp_columns_[column][id] = lrp;
   }
 };
 
@@ -101,6 +107,31 @@ TEST(TupleStoreTest, InsertProbesOnlySameSignatureBucket) {
   EXPECT_EQ(round.subsumption_candidates, 0);
 }
 
+TEST(TupleStoreTest, MultiPieceCandidateAcrossEntriesNamesEveryOwner) {
+  // Lrps of periods 4 and 6 normalize to period-12 residue pieces. Entry 0
+  // holds t1 in {0, 4}, entry 1 t1 in {8, 12, 16}; the candidate, t1 in
+  // {4, 8}, has each of its pieces inside a piece of one entry, but lies
+  // inside neither entry alone. The single-piece check subsumes it and
+  // names both owners: an origin recorded on them would re-derive a set
+  // neither contains. (The evaluator never inserts such a candidate: its
+  // kernel emits one candidate per residue piece.)
+  auto t1_band = [](int64_t lo, int64_t hi) {
+    Dbm constraint(2);
+    constraint.AddLowerBound(1, lo);
+    constraint.AddUpperBound(1, hi);
+    return GeneralizedTuple({Lrp(4, 0), Lrp(6, 0)}, {}, constraint);
+  };
+  TupleStore store({2, 0});
+  ASSERT_TRUE(store.Insert(t1_band(0, 4))->inserted);
+  ASSERT_TRUE(store.Insert(t1_band(8, 16))->inserted);
+  StoreStats round;
+  auto outcome = store.Insert(t1_band(4, 8), NormalizeLimits(), &round);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  EXPECT_FALSE(outcome->inserted);
+  EXPECT_EQ(round.subsumed_single, 1);
+  EXPECT_EQ(outcome->absorbers, (std::vector<EntryId>{0, 1}));
+}
+
 TEST(TupleStoreTest, InsertOutcomesMatchBruteForceReference) {
   // The indexed path and the linear-scan reference path must agree on every
   // outcome bit for the same insertion sequence.
@@ -130,6 +161,102 @@ TEST(TupleStoreTest, InsertOutcomesMatchBruteForceReference) {
   }
   EXPECT_TRUE(indexed.CheckConsistency().ok());
   EXPECT_TRUE(reference.CheckConsistency().ok());
+}
+
+// A tuple of the one signature (6n+1, 4n+3, data 7): common period 12, so
+// up to six residue pieces. T1's band and the T2 - T1 band are drawn from
+// `rng`, each side sometimes left open.
+GeneralizedTuple RandomSameSignature(std::mt19937& rng) {
+  std::uniform_int_distribution<int64_t> start(0, 60);
+  std::uniform_int_distribution<int64_t> width(0, 60);
+  std::uniform_int_distribution<int64_t> gap(-12, 12);
+  std::uniform_int_distribution<int64_t> gap_width(0, 24);
+  Dbm constraint(2);
+  const int64_t lo = start(rng);
+  if (rng() % 4 != 0) constraint.AddLowerBound(1, lo);
+  if (rng() % 4 != 0) constraint.AddUpperBound(1, lo + width(rng));
+  const int64_t g = gap(rng);
+  if (rng() % 4 != 0) constraint.AddDifferenceUpperBound(1, 2, -g);
+  if (rng() % 4 != 0) {
+    constraint.AddDifferenceUpperBound(2, 1, g + gap_width(rng));
+  }
+  return GeneralizedTuple({Lrp(6, 1), Lrp(4, 3)}, {7}, constraint);
+}
+
+// Insert decides subsumption piece by piece first, then by union
+// containment. Over random same-signature buckets (restored unfiltered, so
+// entries overlap and nest), the decision must equal PiecesContainedIn over
+// all of the bucket's pieces, on the indexed and the unindexed path alike;
+// the absorbers must be sorted, distinct, and cover the candidate by
+// themselves.
+TEST(TupleStoreTest, InsertDecisionMatchesUnionContainment) {
+  std::mt19937 rng(20260);
+  int single = 0;
+  int union_only = 0;
+  int inserted = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<GeneralizedTuple> bucket;
+    const int size = 1 + static_cast<int>(rng() % 4);
+    for (int i = 0; i < size; ++i) bucket.push_back(RandomSameSignature(rng));
+    const GeneralizedTuple candidate = RandomSameSignature(rng);
+    auto candidate_pieces = NormalizedTuple::Normalize(candidate);
+    ASSERT_TRUE(candidate_pieces.ok());
+    if (candidate_pieces->empty()) continue;
+    std::vector<NormalizedTuple> bucket_pieces;
+    for (const GeneralizedTuple& tuple : bucket) {
+      auto pieces = NormalizedTuple::Normalize(tuple);
+      ASSERT_TRUE(pieces.ok());
+      bucket_pieces.insert(bucket_pieces.end(), pieces->begin(), pieces->end());
+    }
+    auto want = PiecesContainedIn(*candidate_pieces, bucket_pieces);
+    ASSERT_TRUE(want.ok());
+    for (bool indexed : {true, false}) {
+      SCOPED_TRACE("trial " + std::to_string(trial) +
+                   (indexed ? " indexed" : " unindexed"));
+      TupleStore store({2, 1});
+      store.set_index_enabled(indexed);
+      for (const GeneralizedTuple& tuple : bucket) {
+        ASSERT_TRUE(store.RestoreEntry(tuple).ok());
+      }
+      StoreStats round;
+      auto outcome = store.Insert(candidate, NormalizeLimits(), &round);
+      ASSERT_TRUE(outcome.ok()) << outcome.status();
+      EXPECT_EQ(!outcome->inserted, *want);
+      EXPECT_EQ(round.subsumed, *want ? 1 : 0);
+      if (outcome->inserted) {
+        EXPECT_TRUE(outcome->absorbers.empty());
+        if (indexed) ++inserted;
+        continue;
+      }
+      const std::vector<EntryId>& absorbers = outcome->absorbers;
+      ASSERT_FALSE(absorbers.empty());
+      EXPECT_TRUE(std::is_sorted(absorbers.begin(), absorbers.end()));
+      EXPECT_EQ(std::adjacent_find(absorbers.begin(), absorbers.end()),
+                absorbers.end());
+      std::vector<NormalizedTuple> absorbed;
+      for (EntryId id : absorbers) {
+        ASSERT_LT(id, bucket.size());
+        auto pieces = store.pieces(id);
+        ASSERT_TRUE(pieces.ok());
+        absorbed.insert(absorbed.end(), (*pieces)->begin(), (*pieces)->end());
+      }
+      auto covered = PiecesContainedIn(*candidate_pieces, absorbed);
+      ASSERT_TRUE(covered.ok());
+      EXPECT_TRUE(*covered);
+      if (!indexed) continue;
+      if (round.subsumed_single == 1) {
+        ++single;
+      } else {
+        // The union fallback names the whole bucket.
+        EXPECT_EQ(absorbers.size(), bucket.size());
+        ++union_only;
+      }
+    }
+  }
+  // Every branch of the decision was exercised.
+  EXPECT_GT(single, 0);
+  EXPECT_GT(union_only, 0);
+  EXPECT_GT(inserted, 0);
 }
 
 // With corruptions in two different signature buckets, the reported error
@@ -406,6 +533,32 @@ TEST(TupleStoreEvaluatorTest, ProbeCountersMirrorIntoTheRegistry) {
 #endif
 }
 
+// The insert path's subsumption counters reach the registry too, the
+// single-piece hits (store.subsumed_single) among them.
+TEST(TupleStoreEvaluatorTest, SubsumptionCountersMirrorIntoTheRegistry) {
+#if defined(LRPDB_NO_METRICS)
+  GTEST_SKIP() << "built with LRPDB_NO_METRICS";
+#else
+  Database db;
+  auto unit = Parse(kDifferentialPrograms[0], &db);
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Counter* subsumed = registry.GetCounter("store.subsumed");
+  obs::Counter* single = registry.GetCounter("store.subsumed_single");
+  const int64_t subsumed_before = subsumed->value();
+  const int64_t single_before = single->value();
+  EvaluationOptions options;
+  options.compact_results = false;  // Compaction inserts outside the rounds.
+  auto result = Evaluate(unit->program, db, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  const StoreStats totals = result->StoreTotals();
+  EXPECT_GT(totals.subsumed_single, 0);
+  EXPECT_LE(totals.subsumed_single, totals.subsumed);
+  EXPECT_EQ(subsumed->value() - subsumed_before, totals.subsumed);
+  EXPECT_EQ(single->value() - single_before, totals.subsumed_single);
+#endif
+}
+
 // Contention coverage for the store's documented const surface: with the
 // store fully built, PostingFor, CountProbe (whose probe counters go
 // through stats_mu_), pieces() (whose lazy normalized-piece cache goes
@@ -607,6 +760,51 @@ TEST(TupleStoreTest, CompactTombstonesKeepsStableEntryIds) {
   EXPECT_EQ(store.size(), 6u);
   EXPECT_TRUE(store.is_live(5));
   EXPECT_TRUE(store.CheckConsistency().ok());
+}
+
+// The lrp mirror is checked like the data mirrors: a live slot that
+// disagrees with its entry is reported.
+TEST(TupleStoreTest, CheckConsistencyReportsACorruptLrpMirror) {
+  TupleStore store({1, 1});
+  for (int64_t offset = 0; offset < 3; ++offset) {
+    ASSERT_TRUE(store.Insert(Banded(8, offset, 0, 40, offset))->inserted);
+  }
+  ASSERT_TRUE(store.CheckConsistency().ok());
+  EXPECT_EQ(store.lrp_column(0)[1], Lrp(8, 1));
+  TupleStoreTestPeer::SetLrpMirror(store, 0, 1, Lrp(8, 5));
+  Status status = store.CheckConsistency();
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("lrp column mirror value mismatch"),
+            std::string::npos)
+      << status.ToString();
+}
+
+// Compaction releases a dead entry's mirror slots: the data slot reads 0
+// and the lrp slot the reset Lrp(), while live slots keep their values; a
+// compacted slot that still holds a value is reported.
+TEST(TupleStoreTest, CompactTombstonesResetsTheMirrorSlots) {
+  TupleStore store({1, 1});
+  for (int64_t offset = 0; offset < 3; ++offset) {
+    ASSERT_TRUE(store.Insert(Banded(8, offset, 0, 40, offset + 1))->inserted);
+  }
+  store.Tombstone(1);
+  // Tombstoned but not yet compacted: the slots still hold the payload.
+  EXPECT_EQ(store.lrp_column(0)[1], Lrp(8, 1));
+  EXPECT_EQ(store.data_column(0)[1], 2);
+  ASSERT_EQ(store.CompactTombstones(), 1u);
+  EXPECT_EQ(store.lrp_column(0)[1], Lrp());
+  EXPECT_EQ(store.data_column(0)[1], 0);
+  for (EntryId id : {0u, 2u}) {
+    EXPECT_EQ(store.lrp_column(0)[id], Lrp(8, id));
+    EXPECT_EQ(store.data_column(0)[id], static_cast<DataValue>(id + 1));
+  }
+  EXPECT_TRUE(store.CheckConsistency().ok());
+  TupleStoreTestPeer::SetLrpMirror(store, 0, 1, Lrp(8, 1));
+  Status status = store.CheckConsistency();
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("compacted lrp column mirror slot"),
+            std::string::npos)
+      << status.ToString();
 }
 
 // Tombstones interact cleanly with the delta-generation protocol: a dead
